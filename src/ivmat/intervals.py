@@ -123,10 +123,6 @@ def _as_interval(x) -> Interval:
 # Elementwise interval arithmetic on (lo, hi) pairs; works for scalars and
 # same-shaped ndarrays alike.
 
-def iadd(alo, ahi, blo, bhi):
-    return alo + blo, ahi + bhi
-
-
 def isub(alo, ahi, blo, bhi):
     return alo - bhi, ahi - blo
 
@@ -474,28 +470,6 @@ def vertex_iter(A: IntervalMatrix, cap: int = DEFAULT_VERTEX_CAP):
         for bit, (i, j) in enumerate(positions):
             if (mask >> bit) & 1:
                 V[i, j] = A.hi[i, j]
-        yield V
-
-
-def symmetric_vertex_iter(A: SymmetricIntervalMatrix, cap: int = DEFAULT_VERTEX_CAP):
-    """Yield vertex matrices of the symmetric member family.
-
-    Branches only on entries with i <= j and mirrors the choice, so every
-    yielded matrix is symmetric.
-    """
-    lo, hi = A.lo, A.hi
-    positions = [tuple(p) for p in branching_positions(lo, hi) if p[0] <= p[1]]
-    k = len(positions)
-    if k > cap:
-        raise CapExceeded(f"{k} branching entries exceed the cap of {cap}")
-    for mask in range(1 << k):
-        V = lo.copy()
-        for bit, (i, j) in enumerate(positions):
-            if (mask >> bit) & 1:
-                V[i, j] = hi[i, j]
-                V[j, i] = hi[i, j]
-            else:
-                V[j, i] = lo[i, j]
         yield V
 
 

@@ -4,6 +4,11 @@ Factorizations are LAPACK-backed (via numpy/scipy); this module adds the
 package-wide notion of numerical singularity (pivot magnitude relative to
 the matrix inf-norm), the exponential max-of-sign-vectors norm, and a thin
 LP wrapper with explicit optimal/infeasible/unbounded statuses.
+
+SciPy is imported on first use: ``scipy.linalg`` on the first pivoted LU
+solve and ``scipy.optimize`` on the first LP. Importing them costs several
+times more than numpy does, so a command that needs neither (eigenvalue,
+norm or cube ranges) does not pay for them.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linprog
 
 from .errors import CapExceeded, CycleLimit, NonConvergence, NotSymmetric, SingularMatrix
 
@@ -35,9 +38,11 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a).sum(axis=1)))
 
 
-def _lu_factor(a: np.ndarray):
-    """Pivoted LU with the package's singularity test applied to the pivots."""
+def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a x = rhs by pivoted LU, applying the package's singularity test."""
     import warnings
+
+    import scipy.linalg
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -47,7 +52,7 @@ def _lu_factor(a: np.ndarray):
         raise SingularMatrix(
             f"pivot magnitude {np.min(np.abs(np.diag(lu))):.3e} at or below "
             f"tolerance {tol:.3e}")
-    return lu, piv
+    return scipy.linalg.lu_solve((lu, piv), rhs)
 
 
 def det(a) -> float:
@@ -59,15 +64,13 @@ def det(a) -> float:
 def inverse(a) -> np.ndarray:
     """Matrix inverse; raises SingularMatrix on pivot-tolerance failure."""
     a = _as_square(a)
-    lu, piv = _lu_factor(a)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]))
+    return _lu_solve(a, np.eye(a.shape[0]))
 
 
 def solve(a, b) -> np.ndarray:
     """Solve a x = b; raises SingularMatrix on pivot-tolerance failure."""
     a = _as_square(a)
-    lu, piv = _lu_factor(a)
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(b, dtype=float))
+    return _lu_solve(a, np.asarray(b, dtype=float))
 
 
 def _check_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -192,6 +195,8 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     "infeasible", or "unbounded". Solver iteration/numerical failures raise
     CycleLimit.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
     if bounds is None:
         bounds = [(None, None)] * len(c)

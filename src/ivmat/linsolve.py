@@ -167,7 +167,10 @@ def hull_hbrnk(sys: IntervalLinearSystem) -> HullResult:
     for i in range(n):
         num_lo, num_hi = b.lo[i] - beta[i], b.hi[i] + beta[i]
         den_lo, den_hi = A.lo[i, i] - alpha[i], A.hi[i, i] + alpha[i]
-        assert den_lo > 0 or den_hi < 0, "H-matrix guarantees a sign-definite pivot"
+        if not (den_lo > 0 or den_hi < 0):
+            raise PivotContainsZero(
+                f"hbrnk denominator [{den_lo:.3e}, {den_hi:.3e}] of component {i} "
+                "contains zero; the H-matrix certificate does not hold numerically")
         x_lo[i], x_hi[i] = idiv(num_lo, num_hi, den_lo, den_hi)
     mid = A.mid
     offdiag_mid = mid - np.diag(np.diag(mid))

@@ -31,23 +31,39 @@ class OracleConfig:
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _flat_vertex_chunks(lo: np.ndarray, hi: np.ndarray, max_evals: int):
-    """Yield stacked vertex realizations of the flat box [lo, hi] in chunks."""
+def _vertex_block(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Stacked vertices of the box [lo, hi]: bit b of a mask picks the upper
+    bound of the b-th entry with lo < hi (in flat order)."""
     flat_lo = lo.ravel()
     flat_hi = hi.ravel()
-    pos = np.flatnonzero(flat_hi > flat_lo)
-    k = len(pos)
+    block = np.broadcast_to(flat_lo, (len(masks), flat_lo.size)).copy()
+    for bit, p in enumerate(np.flatnonzero(flat_hi > flat_lo)):
+        chosen = ((masks >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        block[chosen, p] = flat_hi[p]
+    return block.reshape((len(masks),) + lo.shape)
+
+
+def _flat_vertex_chunks(lo: np.ndarray, hi: np.ndarray, max_evals: int):
+    """Yield stacked vertex realizations of the flat box [lo, hi] in chunks.
+
+    The vertex at overall position i is the one of mask i in ``_vertex_block``.
+    """
+    k = int(np.count_nonzero(hi > lo))
     if k >= 63 or (1 << k) > max_evals:
         raise CapExceeded(f"2^{k} vertex realizations exceed the cap of {max_evals}")
     total = 1 << k
     for start in range(0, total, _CHUNK):
         count = min(_CHUNK, total - start)
-        masks = np.arange(start, start + count, dtype=np.uint64)
-        block = np.broadcast_to(flat_lo, (count, flat_lo.size)).copy()
-        for bit, p in enumerate(pos):
-            chosen = ((masks >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-            block[chosen, p] = flat_hi[p]
-        yield block.reshape((count,) + lo.shape)
+        yield _vertex_block(lo, hi, np.arange(start, start + count, dtype=np.uint64))
+
+
+def _expand_symmetric(flat: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric n x n matrices (stacked along leading axes) from their upper triangles."""
+    iu = np.triu_indices(n)
+    full = np.empty(flat.shape[:-1] + (n, n))
+    full[..., iu[0], iu[1]] = flat
+    full[..., iu[1], iu[0]] = flat
+    return full
 
 
 def sample_members(A: IntervalMatrix | IntervalVector, count: int,
@@ -131,17 +147,9 @@ def range_sampling(f, A: IntervalMatrix | SymmetricIntervalMatrix,
     rng = np.random.default_rng(cfg.seed)
     if isinstance(A, SymmetricIntervalMatrix):
         iu = np.triu_indices(A.n)
-        box_lo, box_hi = A.lo[iu], A.hi[iu]
-
-        def expand(flat):
-            full = np.empty((A.n, A.n))
-            full[iu] = flat
-            full[(iu[1], iu[0])] = flat
-            return full
-
-        members = [expand(v) for chunk in
-                   _flat_vertex_chunks(box_lo, box_hi, cfg.vertex_cap)
-                   for v in chunk]
+        members = [m for chunk in
+                   _flat_vertex_chunks(A.lo[iu], A.hi[iu], cfg.vertex_cap)
+                   for m in _expand_symmetric(chunk, A.n)]
         samples = sample_symmetric_members(A, cfg.samples, rng)
     else:
         members = [v for chunk in _flat_vertex_chunks(A.lo, A.hi, cfg.vertex_cap)
@@ -224,35 +232,38 @@ def find_singular_member(A: IntervalMatrix | SymmetricIntervalMatrix,
     Looks for a near-zero vertex determinant first, then bisects the segment
     between two opposite-sign vertices (every convex combination of members
     is a member). For a SymmetricIntervalMatrix the search stays symmetric.
+    Determinants are taken per enumeration chunk; only the vertices the
+    result needs are rebuilt, from their enumeration indices.
     """
-    if isinstance(A, SymmetricIntervalMatrix):
+    symmetric = isinstance(A, SymmetricIntervalMatrix)
+    if symmetric:
         iu = np.triu_indices(A.n)
         box_lo, box_hi = A.lo[iu], A.hi[iu]
-
-        def expand(flat):
-            full = np.empty((A.n, A.n))
-            full[iu] = flat
-            full[(iu[1], iu[0])] = flat
-            return full
-
-        chunks = ([expand(v) for v in chunk] for chunk in
-                  _flat_vertex_chunks(box_lo, box_hi, cfg.vertex_cap))
-        vertices = [v for chunk in chunks for v in chunk]
     else:
-        vertices = [v for chunk in _flat_vertex_chunks(A.lo, A.hi, cfg.vertex_cap)
-                    for v in chunk]
-    dets = np.array([np.linalg.det(v) for v in vertices])
+        box_lo, box_hi = A.lo, A.hi
+
+    def vertices(block):
+        return _expand_symmetric(block, A.n) if symmetric else block
+
+    dets = np.concatenate([
+        np.linalg.det(vertices(block))
+        for block in _flat_vertex_chunks(box_lo, box_hi, cfg.vertex_cap)])
+
+    def vertex(index):
+        mask = np.array([index], dtype=np.uint64)
+        return vertices(_vertex_block(box_lo, box_hi, mask))[0]
+
     scale = max(1.0, float(np.max(np.abs(dets))))
     tol = 1e-12 * scale
     near = np.flatnonzero(np.abs(dets) <= tol)
     if len(near):
-        return vertices[int(near[0])]
+        return vertex(int(near[0]))
     pos = np.flatnonzero(dets > 0)
     neg = np.flatnonzero(dets < 0)
     if not len(pos) or not len(neg):
         return None
-    v_pos = vertices[int(pos[0])]
-    v_neg = vertices[int(neg[0])]
+    v_pos = vertex(int(pos[0]))
+    v_neg = vertex(int(neg[0]))
     t_lo, t_hi = 0.0, 1.0  # det at t_lo positive, at t_hi negative
     for _ in range(200):
         t = 0.5 * (t_lo + t_hi)

@@ -24,7 +24,6 @@ FORMAT_VERSION = 1
 @dataclass
 class ProblemFile:
     kind: str  # "matrix" | "system" | "parametric"
-    symmetric: bool = False
     matrix: IntervalMatrix | None = None
     system: IntervalLinearSystem | None = None
     parametric: ParametricSystem | None = None
@@ -96,25 +95,23 @@ def parse_problem(path: str) -> ProblemFile:
     if version != FORMAT_VERSION:
         raise ParseError(f"format_version must be {FORMAT_VERSION}, got {version!r}")
     kind = data.get("kind")
-    symmetric = bool(data.get("symmetric", False))
     try:
         if kind == "matrix":
             if "entries" not in data:
                 raise ParseError("matrix problem needs an 'entries' field")
             matrix = _interval_matrix(data["entries"], "entries")
-            if symmetric:
+            if data.get("symmetric", False):
                 from .intervals import as_symmetric
 
                 as_symmetric(matrix)  # validation only
-            return ProblemFile("matrix", symmetric, matrix=matrix)
+            return ProblemFile("matrix", matrix=matrix)
         if kind == "system":
             for fieldname in ("A", "b"):
                 if fieldname not in data:
                     raise ParseError(f"system problem needs an {fieldname!r} field")
             A = _interval_matrix(data["A"], "A")
             b = _interval_vector(data["b"], "b")
-            return ProblemFile("system", symmetric,
-                               system=IntervalLinearSystem(A, b))
+            return ProblemFile("system", system=IntervalLinearSystem(A, b))
         if kind == "parametric":
             for fieldname in ("A_k", "b_k", "p"):
                 if fieldname not in data:
@@ -124,7 +121,7 @@ def parse_problem(path: str) -> ProblemFile:
             mats = [_real_matrix(m, f"A_k[{k}]") for k, m in enumerate(data["A_k"])]
             vecs = [_real_vector(v, f"b_k[{k}]") for k, v in enumerate(data["b_k"])]
             box = _interval_vector(data["p"], "p")
-            return ProblemFile("parametric", symmetric,
+            return ProblemFile("parametric",
                                parametric=ParametricSystem(mats, vecs, box))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

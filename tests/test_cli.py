@@ -109,6 +109,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_problem(str(path))
 
+    def test_symmetric_key_rejects_asymmetric_entries(self, tmp_path):
+        path = _write(tmp_path, "s.json", {
+            "format_version": 1, "kind": "matrix", "symmetric": True,
+            "entries": [[2, 1], [0, 2]],
+        })
+        with pytest.raises(ParseError):
+            parse_problem(path)
+
 
 class TestCliCommands:
     def test_classify_counterexample(self, counterexample_file, capsys):
@@ -260,3 +268,41 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "classify" in res.stdout
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import ivmat, ivmat.cli
+from ivmat import kernel
+
+def loaded():
+    return {m: m in sys.modules for m in ("scipy.linalg", "scipy.optimize")}
+
+stages = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ivmat.cli.main(["range", "eig", sys.argv[1], "--format", "json"])
+stages["range eig"] = dict(loaded(), exit=code)
+kernel.solve([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0])
+stages["solve"] = loaded()
+kernel.lp_solve([1.0], bounds=[(0.0, 1.0)])
+stages["lp_solve"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_imported_only_when_a_solver_runs(tmp_path):
+    import subprocess
+    import sys
+    path = _write(tmp_path, "d.json", {
+        "format_version": 1, "kind": "matrix", "symmetric": True,
+        "entries": [[[1.5, 2.5], 1], [1, [1.5, 2.5]]],
+    })
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, path],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    stages = json.loads(res.stdout)
+    assert stages["import"] == {"scipy.linalg": False, "scipy.optimize": False}
+    assert stages["range eig"] == {"scipy.linalg": False, "scipy.optimize": False,
+                                   "exit": 0}
+    assert stages["solve"]["scipy.linalg"]
+    assert stages["lp_solve"]["scipy.optimize"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from conftest import (
     make_rhs,
     make_tp_instance,
 )
-from ivmat import kernel, linsolve, oracle
-from ivmat.errors import NoApplicableCase, PreconditionViolated
+from ivmat import classify, kernel, linsolve, oracle
+from ivmat.cli import main
+from ivmat.errors import NoApplicableCase, PivotContainsZero, PreconditionViolated
 from ivmat.intervals import IntervalMatrix, IntervalVector, imatmul
 from ivmat.linsolve import (
     ENCLOSURE,
@@ -143,6 +146,22 @@ class TestHbrnk:
         A = IntervalMatrix([[0, 1], [-1, 10]], [[10, 1], [-1, 10]])
         with pytest.raises(PreconditionViolated):
             hull_hbrnk(IntervalLinearSystem(A, IntervalVector.point([1.0, 1.0])))
+
+    def test_denominator_containing_zero_raises(self, monkeypatch, tmp_path, capsys):
+        # a (wrong) H certificate with comparison matrix 2I leaves alpha = 0,
+        # so the first denominator is the diagonal entry [-1, 1] itself
+        fake = classify.ClassReport("H", classify.YES, {"comparison_matrix": 2.0 * np.eye(2)})
+        monkeypatch.setattr(classify, "is_h_matrix_interval", lambda A: fake)
+        A = IntervalMatrix([[-1, 0], [0, 1]], [[1, 0], [0, 2]])
+        b = IntervalVector.point([1.0, 1.0])
+        with pytest.raises(PivotContainsZero):
+            hull_hbrnk(IntervalLinearSystem(A, b))
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "system",
+            "A": [[[-1, 1], 0], [0, [1, 2]]], "b": [1, 1]}))
+        assert main(["solve", str(path), "--method", "hbrnk"]) == 3
+        capsys.readouterr()
 
     def test_exact_hull_for_diagonal_midpoint(self):
         # the comparison-matrix bound is the hull when the midpoint is

@@ -3,7 +3,7 @@ import pytest
 
 from ivmat import kernel, oracle
 from ivmat.errors import CapExceeded, SingularInside
-from ivmat.intervals import IntervalMatrix, IntervalVector, SymmetricIntervalMatrix
+from ivmat.intervals import IntervalMatrix, IntervalVector, SymmetricIntervalMatrix, as_symmetric
 
 
 class TestDetRange:
@@ -162,3 +162,74 @@ def test_symmetric_singular_member_search():
     assert member is not None
     assert np.allclose(member, member.T)
     assert abs(kernel.det(member)) < 1e-9
+
+
+def _singular_member_per_vertex(A, cfg=oracle.DEFAULT_CONFIG):
+    """Reference for find_singular_member: one det call per listed vertex."""
+    if isinstance(A, SymmetricIntervalMatrix):
+        iu = np.triu_indices(A.n)
+
+        def expand(flat):
+            full = np.empty((A.n, A.n))
+            full[iu] = flat
+            full[(iu[1], iu[0])] = flat
+            return full
+
+        vertices = [expand(v) for chunk in
+                    oracle._flat_vertex_chunks(A.lo[iu], A.hi[iu], cfg.vertex_cap)
+                    for v in chunk]
+    else:
+        vertices = [v for chunk in oracle._flat_vertex_chunks(A.lo, A.hi, cfg.vertex_cap)
+                    for v in chunk]
+    dets = np.array([np.linalg.det(v) for v in vertices])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(dets))))
+    near = np.flatnonzero(np.abs(dets) <= tol)
+    if len(near):
+        return vertices[int(near[0])]
+    pos = np.flatnonzero(dets > 0)
+    neg = np.flatnonzero(dets < 0)
+    if not len(pos) or not len(neg):
+        return None
+    v_pos, v_neg = vertices[int(pos[0])], vertices[int(neg[0])]
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(200):
+        t = 0.5 * (t_lo + t_hi)
+        d = float(np.linalg.det((1 - t) * v_pos + t * v_neg))
+        if abs(d) <= tol:
+            break
+        if d > 0:
+            t_lo = t
+        else:
+            t_hi = t
+    t = 0.5 * (t_lo + t_hi)
+    return (1 - t) * v_pos + t * v_neg
+
+
+def test_singular_member_search_matches_per_vertex_reference():
+    # chunked determinants must pick the same vertices and bisect identically;
+    # integer boxes give exactly singular vertices, wide boxes sign changes,
+    # and a 4x4 box spans several enumeration chunks
+    rng = np.random.default_rng(31)
+    boxes = []
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        mid = rng.normal(size=(n, n))
+        rad = rng.uniform(0.0, 1.5, (n, n)) * (rng.random((n, n)) < 0.7)
+        boxes.append(IntervalMatrix(mid - rad, mid + rad))
+        sym_lo, sym_hi = mid - rad + (mid - rad).T, mid + rad + (mid + rad).T
+        boxes.append(as_symmetric(IntervalMatrix(sym_lo, sym_hi)))
+        ints = rng.integers(-2, 3, (3, 3)).astype(float)
+        boxes.append(IntervalMatrix(ints - (rng.random((3, 3)) < 0.3),
+                                    ints + (rng.random((3, 3)) < 0.3)))
+    mid = np.eye(4) + rng.uniform(-0.3, 0.3, (4, 4))
+    boxes.append(IntervalMatrix(mid - 0.8, mid + 0.8))
+    found = 0
+    for A in boxes:
+        expected = _singular_member_per_vertex(A)
+        member = oracle.find_singular_member(A)
+        if expected is None:
+            assert member is None
+        else:
+            found += 1
+            assert np.array_equal(member, expected)
+    assert 0 < found < len(boxes)
