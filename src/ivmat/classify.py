@@ -9,6 +9,7 @@ exceeds the evaluation cap answer "unknown".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,11 +17,13 @@ import numpy as np
 from . import kernel, oracle
 from .errors import CapExceeded, PreconditionViolated, SingularMatrix
 from .intervals import (
+    DEFAULT_CAP,
     IntervalMatrix,
     as_symmetric,
     checkerboard_vertices,
     comparison_matrix,
-    sign_flip_at,
+    sign_flip_family,
+    vertex_chunks,
 )
 
 STRICT_RTOL = 1e-10
@@ -315,7 +318,7 @@ def _real_inverse_m_check(block: np.ndarray, tol: float) -> np.ndarray:
 
 
 def is_inverse_m_interval(A: IntervalMatrix,
-                          cap_evals: int = 1 << 24) -> ClassReport:
+                          cap_evals: int = DEFAULT_CAP) -> ClassReport:
     """Inverse M-matrix test by exhaustive vertex enumeration.
 
     The interval matrix is inverse-M exactly when every vertex matrix is;
@@ -335,7 +338,7 @@ def is_inverse_m_interval(A: IntervalMatrix,
             "witness": witness,
         })
     checked = 0
-    for block in oracle._flat_vertex_chunks(A.lo, A.hi, cap_evals):
+    for block in vertex_chunks(A.lo, A.hi, cap_evals):
         good = _real_inverse_m_check(block, tol)
         if not good.all():
             bad = int(np.flatnonzero(~good)[0])
@@ -357,7 +360,7 @@ class ConjectureProbe:
 
 
 def conjecture_check_inverse_m(A: IntervalMatrix,
-                               cap_evals: int = 1 << 24) -> ConjectureProbe:
+                               cap_evals: int = DEFAULT_CAP) -> ConjectureProbe:
     """Probe the 2 n^2 sign-flip reduction for the inverse-M class.
 
     Evaluates the reduced criterion (inverse-M at mid +/- diag(z^i) rad
@@ -367,18 +370,8 @@ def conjecture_check_inverse_m(A: IntervalMatrix,
     """
     if not A.is_square:
         raise ValueError("conjecture probe requires a square matrix")
-    n = A.rows
     tol = _tol(A.lo, A.hi)
-    mid, rad = A.mid, A.rad
-    candidates = []
-    for i in range(n):
-        zi = sign_flip_at(n, i)
-        for j in range(n):
-            zj = sign_flip_at(n, j)
-            signed = np.outer(zi, zj) * rad
-            candidates.append(mid + signed)
-            candidates.append(mid - signed)
-    block = np.array(candidates)
+    block = np.concatenate(sign_flip_family(A))
     reduced_ok = bool(np.all(_real_inverse_m_check(block, tol)))
     exhaustive = is_inverse_m_interval(A, cap_evals=cap_evals)
     reduced_verdict = YES if reduced_ok else NO
@@ -398,8 +391,6 @@ def conjecture_check_inverse_m(A: IntervalMatrix,
 
 def _real_p_test(a: np.ndarray, tol: float) -> tuple[bool, tuple | None]:
     """All principal minors positive, by enumeration of index subsets."""
-    import itertools
-
     n = a.shape[0]
     for k in range(1, n + 1):
         for rows in itertools.combinations(range(n), k):
@@ -409,7 +400,17 @@ def _real_p_test(a: np.ndarray, tol: float) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = 1 << 24) -> ClassReport:
+def _sign_vertices(mid: np.ndarray, rad: np.ndarray, cap_evals: int):
+    """(z, mid - diag(z) rad diag(z)) over z in {+-1}^n with z[0] = 1 (z and -z
+    give the same member): z = -v for the vertices v of the box lo = -1,
+    hi = (-1, 1, ..., 1)."""
+    hi = np.ones(len(mid))
+    hi[:1] = -1.0
+    box = vertex_chunks(-np.ones(len(mid)), hi, cap_evals)
+    return ((-v, mid - np.outer(v, v) * rad) for v in itertools.chain.from_iterable(box))
+
+
+def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> ClassReport:
     """Interval P-matrix test on its polynomially decidable special cases.
 
     Dispatch: if the midpoint is an M-matrix, P-ness coincides with the
@@ -463,12 +464,7 @@ def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = 1 << 24) -> ClassRep
         return ClassReport("PMatrixSpecialCase", UNKNOWN, {
             "reason": "sign-vertex P-checks exceed the cap",
         }, cost_note="exponential (capped)")
-    for mask in range(1 << max(n - 1, 0)):
-        z = np.ones(n)
-        for i in range(1, n):
-            if (mask >> (i - 1)) & 1:
-                z[i] = -1.0
-        vertex = mid - np.outer(z, z) * rad
+    for z, vertex in _sign_vertices(mid, rad, cap_evals):
         ok, subset = _real_p_test(vertex, tol)
         if not ok:
             return ClassReport("PMatrixSpecialCase", NO, {
@@ -483,12 +479,14 @@ def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = 1 << 24) -> ClassRep
     }, cost_note="exponential (sign-vertex P-checks)")
 
 
-def is_positive_definite_sufficient(A) -> ClassReport:
+def is_positive_definite_sufficient(A, cap_evals: int = DEFAULT_CAP) -> ClassReport:
     """Positive definiteness of the symmetric member family, where decidable.
 
     Yes when the matrix is an H-matrix with positive definite midpoint;
     definitive no when the midpoint is a positive definite M-matrix and the
-    H-test fails (the family is then not regular); unknown otherwise.
+    H-test fails (the family is then not regular); unknown otherwise. The
+    witness of a no is the sign-vertex member of least smallest eigenvalue;
+    its search raises CapExceeded beyond ``cap_evals`` sign vertices.
     """
     try:
         S = as_symmetric(A)
@@ -507,13 +505,7 @@ def is_positive_definite_sufficient(A) -> ClassReport:
     if mid_pd and is_m_matrix_real(mid).is_yes and h.is_no:
         witness = None
         lam = None
-        n = S.n
-        for mask in range(1 << max(n - 1, 0)):
-            z = np.ones(n)
-            for i in range(1, n):
-                if (mask >> (i - 1)) & 1:
-                    z[i] = -1.0
-            member = mid - np.outer(z, z) * S.rad
+        for _, member in _sign_vertices(mid, S.rad, cap_evals):
             val = float(kernel.sym_eigenvalues(member)[-1])
             if lam is None or val < lam:
                 lam, witness = val, member
@@ -556,7 +548,7 @@ def is_regular_via_h(A: IntervalMatrix) -> ClassReport:
     })
 
 
-def classify_all(A: IntervalMatrix, cap_evals: int = 1 << 20) -> list[ClassReport]:
+def classify_all(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> list[ClassReport]:
     """Run every applicable recognition test; used by the CLI."""
     reports = [
         is_m_matrix_interval(A),
@@ -574,7 +566,7 @@ def classify_all(A: IntervalMatrix, cap_evals: int = 1 << 20) -> list[ClassRepor
             "reason": "vertex enumeration exceeds the cap",
         }, cost_note="exponential (capped)"))
     if is_symmetric_family(A):
-        reports.append(is_positive_definite_sufficient(A))
+        reports.append(is_positive_definite_sufficient(A, cap_evals=cap_evals))
     structure = classify_structure(A)
     for flag in ("Nonnegative", "MidpointNonnegative", "DiagonallyInterval",
                  "SymmetricMidpoint"):

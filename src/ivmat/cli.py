@@ -38,7 +38,7 @@ from .errors import (
     SingularVertex,
     UnboundedSolutionSet,
 )
-from .intervals import Interval, IntervalMatrix, IntervalVector, as_symmetric
+from .intervals import DEFAULT_CAP, Interval, IntervalMatrix, IntervalVector, as_symmetric
 from .linsolve import HullResult
 from .problems import parse_problem
 from .ranges import RangeResult, UpperBound
@@ -205,9 +205,9 @@ def _cmd_range(args) -> int:
     elif char == "rho":
         result = _rho_result(A)
     elif char == "norm":
-        result = ranges.norm_range(A, which=args.which)
+        result = ranges.norm_range(A, which=args.which, cap_evals=args.cap)
     elif char == "rr":
-        result = ranges.rr_range(A)
+        result = ranges.rr_range(A, cap_evals=args.cap)
     elif char == "inverse":
         result = ranges.inverse_bounds(A, cap_evals=args.cap)
     elif char == "power":
@@ -227,7 +227,7 @@ def _cmd_range(args) -> int:
 def _cmd_solve(args) -> int:
     problem = parse_problem(args.file)
     _require(problem, "system")
-    cfg = oracle.OracleConfig(vertex_cap=args.cap, seed=args.seed)
+    cfg = oracle.OracleConfig(vertex_cap=args.cap)
     result = linsolve.solve_hull(problem.system, method=args.method,
                                  cap_evals=args.cap, cfg=cfg)
     if "warning" in result.details:
@@ -241,12 +241,12 @@ def _cmd_param(args) -> int:
     _require(problem, "parametric")
     P = problem.parametric
     if args.action == "pd":
-        result = parametric.is_pd_parametric(P, cap=args.param_cap)
+        result = parametric.is_pd_parametric(P, cap_evals=args.cap)
     else:
         try:
-            result = parametric.hull_rank_one(P, cap=args.param_cap)
+            result = parametric.hull_rank_one(P, cap_evals=args.cap)
         except (RankTooHigh, CrossDependency):
-            result = parametric.hull_orthant_lp(P, cap=args.param_cap)
+            result = parametric.hull_orthant_lp(P, cap_evals=args.cap)
     _emit(f"param {args.action}", result, args)
     return EXIT_OK
 
@@ -354,14 +354,16 @@ def _verify(args) -> int:
                     lambda m, idx=idx: float(kernel.singular_values(m)[idx]),
                     A, cfg, tol)
         elif op == "norm":
-            result = ranges.norm_range(A, which=args.which)
+            result = ranges.norm_range(A, which=args.which, cap_evals=args.cap)
             ok &= _verify_range_by_sampling(
                 lines, f"norm {args.which}", result,
-                lambda m: kernel.matrix_norm(m, args.which), A, cfg, tol)
+                lambda m: kernel.matrix_norm(m, args.which, cap_evals=args.cap),
+                A, cfg, tol)
         elif op == "rr":
-            result = ranges.rr_range(A)
-            ok &= _verify_range_by_sampling(lines, "rr", result,
-                                            kernel.regularity_radius, A, cfg, tol)
+            result = ranges.rr_range(A, cap_evals=args.cap)
+            ok &= _verify_range_by_sampling(
+                lines, "rr", result,
+                lambda m: kernel.regularity_radius(m, cap_evals=args.cap), A, cfg, tol)
         elif op == "inverse":
             result = ranges.inverse_bounds(A, cap_evals=args.cap)
             rng = np.random.default_rng(cfg.seed)
@@ -405,10 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=1 << 20,
-                       help="max enumerated realizations (default 2^20)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="max realizations any enumeration evaluates "
+                            "(default 2^20)")
 
     p = sub.add_parser("classify", help="run every recognition test")
     p.add_argument("file")
@@ -438,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("param", help="parametric analysis")
     p.add_argument("action", choices=("pd", "hull"))
     p.add_argument("file")
-    p.add_argument("--param-cap", type=int, default=parametric.DEFAULT_PARAM_CAP,
-                   help="max branching parameters (default 20)")
     common(p)
     p.set_defaults(func=_cmd_param)
 
@@ -456,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "inversem", "oracle"),
                    default="auto")
     p.add_argument("--grid-step", type=float, default=1e-2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
     p.set_defaults(func=_verify)
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import CapExceeded
 
-DEFAULT_VERTEX_CAP = 24
+DEFAULT_CAP = 1 << 20  # max realizations an enumeration evaluates
+_CHUNK = 1 << 14
 
 
 def _validate_bounds(lo: np.ndarray, hi: np.ndarray, ndim: int, what: str) -> None:
@@ -383,14 +384,13 @@ def sign_flip_at(n: int, i: int) -> np.ndarray:
     return z
 
 
-def sign_vectors(n: int):
-    """Yield all 2**n vectors over {+1, -1}, first coordinate varying slowest."""
-    for mask in range(1 << n):
-        z = np.ones(n)
-        for i in range(n):
-            if (mask >> (n - 1 - i)) & 1:
-                z[i] = -1.0
-        yield z
+def sign_flip_family(A: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of mid + diag(z^i) rad diag(z^j) and mid - diag(z^i) rad diag(z^j),
+    z^i = ``sign_flip_at(n, i)``, each in row-major (i, j) order."""
+    n = A.rows
+    Z = 1.0 - 2.0 * np.eye(n)
+    signed = (Z[:, None, :, None] * Z[None, :, None, :] * A.rad).reshape(n * n, n, n)
+    return A.mid + signed, A.mid - signed
 
 
 def sign_similarity(A: IntervalMatrix, s: np.ndarray) -> IntervalMatrix:
@@ -445,32 +445,33 @@ def checkerboard_box(v1, v2, tol: float = 0.0) -> IntervalVector:
     return IntervalVector(both_lo, both_hi)
 
 
-def branching_positions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Indices (row-major order) of non-degenerate entries."""
-    return np.argwhere(hi > lo)
+def vertex_block(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Stacked vertices of the box [lo, hi]: bit b of a mask picks the upper
+    bound of the b-th entry with lo < hi (in flat order)."""
+    flat_lo = lo.ravel()
+    flat_hi = hi.ravel()
+    block = np.broadcast_to(flat_lo, (len(masks), flat_lo.size)).copy()
+    for bit, p in enumerate(np.flatnonzero(flat_hi > flat_lo)):
+        chosen = ((masks >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        block[chosen, p] = flat_hi[p]
+    return block.reshape((len(masks),) + lo.shape)
 
 
-def vertex_count(A: IntervalMatrix) -> int:
-    """Number of distinct vertex matrices, 2**(non-degenerate entries)."""
-    return 1 << len(branching_positions(A.lo, A.hi))
+def vertex_chunks(lo: np.ndarray, hi: np.ndarray, cap_evals: int = DEFAULT_CAP):
+    """Every vertex of the box [lo, hi] exactly once, as stacked chunks.
 
-
-def vertex_iter(A: IntervalMatrix, cap: int = DEFAULT_VERTEX_CAP):
-    """Yield every vertex matrix exactly once.
-
-    Degenerate entries contribute no branching. Raises CapExceeded when the
-    number of branching entries exceeds ``cap``.
+    The vertex at overall position i is the one of mask i in ``vertex_block``;
+    degenerate entries (lo == hi) never branch. Raises CapExceeded at once
+    when the 2^k vertices, k the number of branching entries, exceed
+    ``cap_evals``.
     """
-    positions = branching_positions(A.lo, A.hi)
-    k = len(positions)
-    if k > cap:
-        raise CapExceeded(f"{k} branching entries exceed the cap of {cap}")
-    for mask in range(1 << k):
-        V = A.lo.copy()
-        for bit, (i, j) in enumerate(positions):
-            if (mask >> bit) & 1:
-                V[i, j] = A.hi[i, j]
-        yield V
+    k = int(np.count_nonzero(hi > lo))
+    if k >= 63 or (1 << k) > cap_evals:
+        raise CapExceeded(f"2^{k} vertex realizations exceed the cap of {cap_evals}")
+    total = 1 << k
+    return (vertex_block(lo, hi, np.arange(start, min(start + _CHUNK, total),
+                                           dtype=np.uint64))
+            for start in range(0, total, _CHUNK))
 
 
 def imatmul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, CycleLimit, NonConvergence, NotSymmetric, SingularMatrix
+from .errors import CycleLimit, NonConvergence, NotSymmetric, SingularMatrix
+from .intervals import DEFAULT_CAP, vertex_chunks
 
 PIVOT_RTOL = 1e-12
-SIGN_ENUM_CAP = 24
 
 
 def _as_square(a) -> np.ndarray:
@@ -126,40 +126,30 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(eigenvalues_general(a))))
 
 
-def sign_vector_norm(a, cap: int = SIGN_ENUM_CAP) -> float:
+def sign_vector_norm(a, cap_evals: int = DEFAULT_CAP) -> float:
     """max over z in {+-1}^n of the 1-norm of A z, by exact enumeration.
 
-    This is the norm induced by the vector inf- and 1-norms. The enumeration
-    exploits z / -z symmetry and runs in chunks; n above ``cap`` raises
-    CapExceeded (no polynomial general algorithm is attempted).
+    This is the norm induced by the vector inf- and 1-norms. The z / -z
+    symmetry fixes the first sign, leaving 2^(n-1) sign vectors; more than
+    ``cap_evals`` raises CapExceeded (no polynomial general algorithm is
+    attempted).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     n = a.shape[1]
-    if n > cap:
-        raise CapExceeded(f"sign-vector enumeration needs 2^{n} > 2^{cap} terms")
-    if n == 0:
-        return 0.0
-    total = 1 << (n - 1)
-    chunk = 1 << 16
+    hi = np.ones(n)
+    hi[:1] = -1.0
     best = 0.0
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        masks = np.arange(start, start + count, dtype=np.uint64)
-        Z = np.ones((count, n))
-        for i in range(1, n):
-            bit = (masks >> np.uint64(n - 1 - i)) & np.uint64(1)
-            Z[:, i] = 1.0 - 2.0 * bit.astype(float)
-        vals = np.abs(Z @ a.T).sum(axis=1)
-        best = max(best, float(vals.max()))
+    for Z in vertex_chunks(-np.ones(n), hi, cap_evals):
+        best = max(best, float(np.abs(Z @ a.T).sum(axis=1).max()))
     return best
 
 
 _NORMS = ("inf", "one", "frobenius", "chebyshev", "inf1")
 
 
-def matrix_norm(a, which: str = "inf", cap: int = SIGN_ENUM_CAP) -> float:
+def matrix_norm(a, which: str = "inf", cap_evals: int = DEFAULT_CAP) -> float:
     """Matrix norm: inf, one, frobenius, chebyshev, or inf1 (enumeration)."""
     a = np.asarray(a, dtype=float)
     if which == "inf":
@@ -171,13 +161,13 @@ def matrix_norm(a, which: str = "inf", cap: int = SIGN_ENUM_CAP) -> float:
     if which == "chebyshev":
         return float(np.max(np.abs(a)))
     if which == "inf1":
-        return sign_vector_norm(a, cap=cap)
+        return sign_vector_norm(a, cap_evals=cap_evals)
     raise ValueError(f"unknown norm {which!r}; expected one of {_NORMS}")
 
 
-def regularity_radius(a, cap: int = SIGN_ENUM_CAP) -> float:
+def regularity_radius(a, cap_evals: int = DEFAULT_CAP) -> float:
     """Chebyshev distance to the nearest singular matrix: 1 / inf1-norm of the inverse."""
-    return 1.0 / sign_vector_norm(inverse(a), cap=cap)
+    return 1.0 / sign_vector_norm(inverse(a), cap_evals=cap_evals)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .intervals import (
+    DEFAULT_CAP,
     IntervalMatrix,
     IntervalVector,
     checkerboard_box,
@@ -35,6 +36,7 @@ from .intervals import (
     isub,
     magnitude,
     sign_flip_at,
+    vertex_chunks,
 )
 
 EXACT = "exact-hull"
@@ -250,7 +252,7 @@ def interval_lu(A: IntervalMatrix) -> tuple[IntervalMatrix, IntervalMatrix]:
 
 
 def hull_bounds_inverse_m(sys: IntervalLinearSystem,
-                          cap_evals: int = 1 << 20) -> HullResult:
+                          cap_evals: int = DEFAULT_CAP) -> HullResult:
     """Exact hull for an inverse-M matrix system, at enumeration scale.
 
     For coordinate i the extreme rhs is known in closed form (flip only the
@@ -265,7 +267,7 @@ def hull_bounds_inverse_m(sys: IntervalLinearSystem,
     rhs_high = np.array([b_mid - sign_flip_at(n, i) * b_rad for i in range(n)])
     hull_lo = np.full(n, np.inf)
     hull_hi = np.full(n, -np.inf)
-    for block in oracle._flat_vertex_chunks(sys.A.lo, sys.A.hi, cap_evals):
+    for block in vertex_chunks(sys.A.lo, sys.A.hi, cap_evals):
         low_stack = np.broadcast_to(rhs_low.T, (len(block), n, n))
         high_stack = np.broadcast_to(rhs_high.T, (len(block), n, n))
         xs_low = np.linalg.solve(block, low_stack)
@@ -281,7 +283,7 @@ def hull_bounds_inverse_m(sys: IntervalLinearSystem,
 
 
 def solve_hull(sys: IntervalLinearSystem, method: str = "auto",
-               cap_evals: int = 1 << 20,
+               cap_evals: int = DEFAULT_CAP,
                cfg: oracle.OracleConfig | None = None) -> HullResult:
     """Solve dispatcher used by the CLI.
 

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, SingularInside
-from .intervals import Interval, IntervalMatrix, IntervalVector, SymmetricIntervalMatrix
-
-_CHUNK = 1 << 14
+from .intervals import (
+    Interval,
+    IntervalMatrix,
+    IntervalVector,
+    SymmetricIntervalMatrix,
+    vertex_block,
+    vertex_chunks,
+)
 
 
 @dataclass
@@ -29,32 +34,6 @@ class OracleConfig:
 
 
 DEFAULT_CONFIG = OracleConfig()
-
-
-def _vertex_block(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Stacked vertices of the box [lo, hi]: bit b of a mask picks the upper
-    bound of the b-th entry with lo < hi (in flat order)."""
-    flat_lo = lo.ravel()
-    flat_hi = hi.ravel()
-    block = np.broadcast_to(flat_lo, (len(masks), flat_lo.size)).copy()
-    for bit, p in enumerate(np.flatnonzero(flat_hi > flat_lo)):
-        chosen = ((masks >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-        block[chosen, p] = flat_hi[p]
-    return block.reshape((len(masks),) + lo.shape)
-
-
-def _flat_vertex_chunks(lo: np.ndarray, hi: np.ndarray, max_evals: int):
-    """Yield stacked vertex realizations of the flat box [lo, hi] in chunks.
-
-    The vertex at overall position i is the one of mask i in ``_vertex_block``.
-    """
-    k = int(np.count_nonzero(hi > lo))
-    if k >= 63 or (1 << k) > max_evals:
-        raise CapExceeded(f"2^{k} vertex realizations exceed the cap of {max_evals}")
-    total = 1 << k
-    for start in range(0, total, _CHUNK):
-        count = min(_CHUNK, total - start)
-        yield _vertex_block(lo, hi, np.arange(start, start + count, dtype=np.uint64))
 
 
 def _expand_symmetric(flat: np.ndarray, n: int) -> np.ndarray:
@@ -81,11 +60,7 @@ def sample_symmetric_members(A: SymmetricIntervalMatrix, count: int,
     n = A.n
     u = rng.random((count, n, n))
     iu = np.triu_indices(n)
-    full = np.empty((count, n, n))
-    vals = lo[iu] + (hi[iu] - lo[iu]) * u[:, iu[0], iu[1]]
-    full[:, iu[0], iu[1]] = vals
-    full[:, iu[1], iu[0]] = vals
-    return full
+    return _expand_symmetric(lo[iu] + (hi[iu] - lo[iu]) * u[:, iu[0], iu[1]], n)
 
 
 def det_range(A: IntervalMatrix, cfg: OracleConfig = DEFAULT_CONFIG) -> Interval:
@@ -98,7 +73,7 @@ def det_range(A: IntervalMatrix, cfg: OracleConfig = DEFAULT_CONFIG) -> Interval
         raise ValueError("determinant range requires a square matrix")
     best_lo = np.inf
     best_hi = -np.inf
-    for block in _flat_vertex_chunks(A.lo, A.hi, cfg.vertex_cap):
+    for block in vertex_chunks(A.lo, A.hi, cfg.vertex_cap):
         dets = np.linalg.det(block)
         best_lo = min(best_lo, float(dets.min()))
         best_hi = max(best_hi, float(dets.max()))
@@ -128,7 +103,7 @@ def solution_hull(A: IntervalMatrix, b: IntervalVector,
     joint_hi = np.concatenate([A.hi.ravel(), b.hi])
     hull_lo = np.full(n, np.inf)
     hull_hi = np.full(n, -np.inf)
-    for block in _flat_vertex_chunks(joint_lo, joint_hi, cfg.vertex_cap):
+    for block in vertex_chunks(joint_lo, joint_hi, cfg.vertex_cap):
         mats = block[:, :n * n].reshape(-1, n, n)
         rhs = block[:, n * n:]
         xs = np.linalg.solve(mats, rhs[..., None])[..., 0]
@@ -142,22 +117,24 @@ def range_sampling(f, A: IntervalMatrix | SymmetricIntervalMatrix,
     """Inner approximation of the range of f: vertices plus sampled members.
 
     For a SymmetricIntervalMatrix the enumeration and sampling stay inside
-    the symmetric member family.
+    the symmetric member family. Vertices are folded in one enumeration
+    chunk at a time, never listed.
     """
     rng = np.random.default_rng(cfg.seed)
     if isinstance(A, SymmetricIntervalMatrix):
         iu = np.triu_indices(A.n)
-        members = [m for chunk in
-                   _flat_vertex_chunks(A.lo[iu], A.hi[iu], cfg.vertex_cap)
-                   for m in _expand_symmetric(chunk, A.n)]
+        chunks = (_expand_symmetric(chunk, A.n) for chunk in
+                  vertex_chunks(A.lo[iu], A.hi[iu], cfg.vertex_cap))
         samples = sample_symmetric_members(A, cfg.samples, rng)
     else:
-        members = [v for chunk in _flat_vertex_chunks(A.lo, A.hi, cfg.vertex_cap)
-                   for v in chunk]
+        chunks = vertex_chunks(A.lo, A.hi, cfg.vertex_cap)
         samples = sample_members(A, cfg.samples, rng)
-    vals = [float(f(m)) for m in members]
-    vals.extend(float(f(m)) for m in samples)
-    return Interval(min(vals), max(vals))
+    members = itertools.chain(itertools.chain.from_iterable(chunks), samples)
+    vals = (float(f(m)) for m in members)
+    lo = hi = next(vals)
+    for v in vals:
+        lo, hi = min(lo, v), max(hi, v)
+    return Interval(lo, hi)
 
 
 def minors_positive(a: np.ndarray, tol: float = 0.0) -> tuple[bool, bool]:
@@ -247,11 +224,11 @@ def find_singular_member(A: IntervalMatrix | SymmetricIntervalMatrix,
 
     dets = np.concatenate([
         np.linalg.det(vertices(block))
-        for block in _flat_vertex_chunks(box_lo, box_hi, cfg.vertex_cap)])
+        for block in vertex_chunks(box_lo, box_hi, cfg.vertex_cap)])
 
     def vertex(index):
         mask = np.array([index], dtype=np.uint64)
-        return vertices(_vertex_block(box_lo, box_hi, mask))[0]
+        return vertices(vertex_block(box_lo, box_hi, mask))[0]
 
     scale = max(1.0, float(np.max(np.abs(dets))))
     tol = 1e-12 * scale

@@ -4,10 +4,12 @@ Tractable cases only: vertex positive definiteness, rank-one coefficient
 structure (solution extrema at parameter vertices), and the
 single-equation-per-parameter structure whose solution set decomposes into
 2^K orthants, each described by linear inequalities and processed by LP.
+Past ``cap_evals`` parameter vertices or orthants, each raises CapExceeded.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,6 @@ import numpy as np
 from . import kernel
 from .classify import STRICT_RTOL, ClassReport, NO, YES
 from .errors import (
-    CapExceeded,
     CrossDependency,
     EmptySolutionSet,
     OutOfBox,
@@ -25,11 +26,8 @@ from .errors import (
     SingularVertex,
     UnboundedSolutionSet,
 )
-from .intervals import IntervalVector
+from .intervals import DEFAULT_CAP, IntervalVector, vertex_chunks
 from .linsolve import EXACT, HullResult
-
-DEFAULT_PARAM_CAP = 20
-
 
 @dataclass
 class ParametricSystem:
@@ -85,21 +83,7 @@ def eval_parametric(P: ParametricSystem, p) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
 
 
-def _vertex_parameters(P: ParametricSystem, cap: int):
-    """Yield all parameter vectors at box vertices (degenerate entries fixed)."""
-    varying = P.varying_indices()
-    k = len(varying)
-    if k > cap:
-        raise CapExceeded(f"2^{k} parameter vertices exceed the cap 2^{cap}")
-    base = P.box.mid.copy()
-    for mask in range(1 << k):
-        p = base.copy()
-        for bit, idx in enumerate(varying):
-            p[idx] = P.box.hi[idx] if (mask >> bit) & 1 else P.box.lo[idx]
-        yield p
-
-
-def is_pd_parametric(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> ClassReport:
+def is_pd_parametric(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> ClassReport:
     """Positive definiteness of A(p) over the whole box via vertex checks.
 
     A(p), being affine in p, is positive definite on the box exactly when
@@ -112,7 +96,8 @@ def is_pd_parametric(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> Class
                 f"coefficient matrix {idx} is not symmetric, so A(p) is not "
                 "symmetric for all p")
     worst = None
-    for p in _vertex_parameters(P, cap):
+    vertices = vertex_chunks(P.box.lo, P.box.hi, cap_evals)
+    for p in itertools.chain.from_iterable(vertices):
         A, _ = eval_parametric(P, p)
         lam = float(kernel.sym_eigenvalues(A)[-1])
         if worst is None or lam < worst[0]:
@@ -129,7 +114,7 @@ def is_pd_parametric(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> Class
     }, cost_note="exponential in the parameter count")
 
 
-def hull_rank_one(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> HullResult:
+def hull_rank_one(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> HullResult:
     """Exact hull under rank-one coefficients with no cross dependencies.
 
     Every varying parameter must have a coefficient matrix of numerical
@@ -152,7 +137,8 @@ def hull_rank_one(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> HullResu
     hull_hi = np.full(n, -np.inf)
     attain_lo = [None] * n
     attain_hi = [None] * n
-    for p in _vertex_parameters(P, cap):
+    vertices = vertex_chunks(P.box.lo, P.box.hi, cap_evals)
+    for p in itertools.chain.from_iterable(vertices):
         A, b = eval_parametric(P, p)
         try:
             x = kernel.solve(A, b)
@@ -191,7 +177,7 @@ def _single_equation_rows(P: ParametricSystem) -> dict[int, int]:
     return rows
 
 
-def hull_orthant_lp(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> HullResult:
+def hull_orthant_lp(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> HullResult:
     """Exact hull when each varying parameter touches a single equation.
 
     The solution set is the union over sign vectors z of polyhedra
@@ -203,8 +189,7 @@ def hull_orthant_lp(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> HullRe
     rows = _single_equation_rows(P)
     varying = sorted(rows)
     k = len(varying)
-    if k > cap:
-        raise CapExceeded(f"2^{k} orthants exceed the cap 2^{cap}")
+    orthants = vertex_chunks(-np.ones(k), np.ones(k), cap_evals)
     n = P.n
     mid_p = P.box.mid
     A_mid = sum(pk * Ak for pk, Ak in zip(mid_p, P.coeff_matrices))
@@ -214,9 +199,8 @@ def hull_orthant_lp(P: ParametricSystem, cap: int = DEFAULT_PARAM_CAP) -> HullRe
     hull_lo = np.full(n, np.inf)
     hull_hi = np.full(n, -np.inf)
     feasible = False
-    for mask in range(1 << k):
-        z = {idx: (1.0 if (mask >> bit) & 1 else -1.0)
-             for bit, idx in enumerate(varying)}
+    for signs in itertools.chain.from_iterable(orthants):
+        z = dict(zip(varying, signs))
         S_A = np.zeros((n, n))
         S_b = np.zeros(n)
         for idx in varying:

@@ -13,20 +13,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classify, kernel, oracle
+from . import classify, kernel
 from .errors import (
     CapExceeded,
     EigenvectorSignAmbiguity,
     NoApplicableTheorem,
     PreconditionViolated,
+    SingularMatrix,
 )
 from .intervals import (
+    DEFAULT_CAP,
     Interval,
     IntervalMatrix,
     SymmetricIntervalMatrix,
     as_symmetric,
     checkerboard_vertices,
-    sign_flip_at,
+    sign_flip_family,
+    vertex_chunks,
 )
 
 
@@ -61,33 +64,34 @@ def _sign_stable_pattern(A: IntervalMatrix, cap_evals: int):
     """
     tiny = 1e-10
     try:
-        pattern = None
-        for block in oracle._flat_vertex_chunks(A.lo, A.hi, cap_evals):
-            dets = np.linalg.det(block)
-            if np.any(np.abs(dets) <= 1e-12 * max(1.0, float(np.max(np.abs(dets))))):
-                return None, None
-            invs = np.linalg.inv(block)
-            scale = max(1.0, float(np.max(np.abs(invs))))
-            if np.any(np.abs(invs) <= tiny * scale):
-                return None, None
-            signs = np.sign(invs)
-            if pattern is None:
-                pattern = signs[0]
-            if np.any(signs != pattern):
-                return None, None
-        return pattern, "vertex-certified"
+        chunks = vertex_chunks(A.lo, A.hi, cap_evals)
     except CapExceeded:
         try:
             inv_mid = kernel.inverse(A.mid)
-        except Exception:
+        except SingularMatrix:
             return None, None
         scale = max(1.0, float(np.max(np.abs(inv_mid))))
         if np.any(np.abs(inv_mid) <= tiny * scale):
             return None, None
         return np.sign(inv_mid), "midpoint-certified"
+    pattern = None
+    for block in chunks:
+        dets = np.linalg.det(block)
+        if np.any(np.abs(dets) <= 1e-12 * max(1.0, float(np.max(np.abs(dets))))):
+            return None, None
+        invs = np.linalg.inv(block)
+        scale = max(1.0, float(np.max(np.abs(invs))))
+        if np.any(np.abs(invs) <= tiny * scale):
+            return None, None
+        signs = np.sign(invs)
+        if pattern is None:
+            pattern = signs[0]
+        if np.any(signs != pattern):
+            return None, None
+    return pattern, "vertex-certified"
 
 
-def det_range(A: IntervalMatrix, cap_evals: int = 1 << 20) -> RangeResult:
+def det_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     """Exact determinant range for the supported classes.
 
     Dispatch order: interval M-matrix, totally positive, inverse
@@ -343,36 +347,36 @@ def sigma_min_range(A: IntervalMatrix) -> RangeResult:
 
 
 def norm_range(A: IntervalMatrix, which: str = "inf",
-               cap: int = kernel.SIGN_ENUM_CAP) -> RangeResult | UpperBound:
+               cap_evals: int = DEFAULT_CAP) -> RangeResult | UpperBound:
     """Range of a monotone matrix norm over a (midpoint-)nonnegative matrix."""
     if classify.is_nonnegative(A):
         return RangeResult(
-            Interval(kernel.matrix_norm(A.lo, which, cap=cap),
-                     kernel.matrix_norm(A.hi, which, cap=cap)),
+            Interval(kernel.matrix_norm(A.lo, which, cap_evals=cap_evals),
+                     kernel.matrix_norm(A.hi, which, cap_evals=cap_evals)),
             f"nonnegative-endpoints-norm-{which}",
             {"min": A.lo.copy(), "max": A.hi.copy()})
     if classify.is_midpoint_nonnegative(A):
-        return UpperBound(kernel.matrix_norm(A.hi, which, cap=cap),
+        return UpperBound(kernel.matrix_norm(A.hi, which, cap_evals=cap_evals),
                           f"midpoint-nonnegative-upper-norm-{which}", A.hi.copy())
     raise PreconditionViolated(
         "norm range needs a nonnegative matrix (or nonnegative midpoint "
         "for the upper bound)")
 
 
-def rr_range(A: IntervalMatrix, cap: int = kernel.SIGN_ENUM_CAP) -> RangeResult:
+def rr_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     """Regularity-radius range for inverse nonnegative or totally positive
     interval matrices."""
     if classify.is_inverse_nonnegative_interval(A).is_yes:
         return RangeResult(
-            Interval(kernel.regularity_radius(A.lo, cap=cap),
-                     kernel.regularity_radius(A.hi, cap=cap)),
+            Interval(kernel.regularity_radius(A.lo, cap_evals=cap_evals),
+                     kernel.regularity_radius(A.hi, cap_evals=cap_evals)),
             "inverse-nonnegative-endpoints-rr",
             {"min": A.lo.copy(), "max": A.hi.copy()})
     if classify.is_totally_positive_interval(A).is_yes:
         down, up = checkerboard_vertices(A)
         return RangeResult(
-            Interval(kernel.regularity_radius(down, cap=cap),
-                     kernel.regularity_radius(up, cap=cap)),
+            Interval(kernel.regularity_radius(down, cap_evals=cap_evals),
+                     kernel.regularity_radius(up, cap_evals=cap_evals)),
             "totally-positive-checkerboard-rr",
             {"min": down, "max": up})
     raise PreconditionViolated(
@@ -380,7 +384,7 @@ def rr_range(A: IntervalMatrix, cap: int = kernel.SIGN_ENUM_CAP) -> RangeResult:
         "positive matrix")
 
 
-def inverse_bounds(A: IntervalMatrix, cap_evals: int = 1 << 20) -> RangeResult:
+def inverse_bounds(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     """Componentwise hull of member inverses.
 
     Inverse nonnegative: the hull is [upper endpoint inverse, lower
@@ -393,27 +397,14 @@ def inverse_bounds(A: IntervalMatrix, cap_evals: int = 1 << 20) -> RangeResult:
         hull = IntervalMatrix(np.minimum(inv_hi, inv_lo), np.maximum(inv_hi, inv_lo))
         return RangeResult(hull, "inverse-nonnegative-endpoint-inverses",
                            {"min": A.hi.copy(), "max": A.lo.copy()})
-    try:
-        inverse_m = classify.is_inverse_m_interval(A, cap_evals=cap_evals)
-    except CapExceeded as exc:
-        raise CapExceeded(str(exc)) from exc
-    if inverse_m.is_yes:
-        n = A.rows
-        mid, rad = A.mid, A.rad
-        plus, minus = [], []
-        for i in range(n):
-            zi = sign_flip_at(n, i)
-            for j in range(n):
-                zj = sign_flip_at(n, j)
-                signed = np.outer(zi, zj) * rad
-                plus.append(mid + signed)
-                minus.append(mid - signed)
-        inv_plus = np.linalg.inv(np.array(plus))
-        inv_minus = np.linalg.inv(np.array(minus))
+    if classify.is_inverse_m_interval(A, cap_evals=cap_evals).is_yes:
+        plus, minus = sign_flip_family(A)
+        inv_plus = np.linalg.inv(plus)
+        inv_minus = np.linalg.inv(minus)
         hull = IntervalMatrix(inv_plus.min(axis=0), inv_minus.max(axis=0))
         return RangeResult(hull, "inverse-m-sign-flip-family", {
-            "min_family": np.array(plus),
-            "max_family": np.array(minus),
+            "min_family": plus,
+            "max_family": minus,
         })
     raise PreconditionViolated(
         "inverse bounds need an inverse nonnegative or inverse-M matrix")

@@ -27,6 +27,7 @@ from ivmat.intervals import (
     IntervalMatrix,
     IntervalVector,
     SymmetricIntervalMatrix,
+    vertex_chunks,
 )
 from ivmat.linsolve import EXACT, IntervalLinearSystem
 from ivmat.parametric import ParametricSystem
@@ -467,7 +468,8 @@ def _make_rank_one_system(rng, n, K):
         P = ParametricSystem(mats, vecs, IntervalVector(lo, hi))
         try:
             dets = [np.linalg.det(parametric.eval_parametric(P, p)[0])
-                    for p in parametric._vertex_parameters(P, 10)]
+                    for chunk in vertex_chunks(P.box.lo, P.box.hi, 1 << 10)
+                    for p in chunk]
         except Exception:
             continue
         if min(np.abs(dets)) > 0.5 and len(set(np.sign(dets))) == 1:
@@ -499,7 +501,8 @@ def _make_single_eq_system(rng, n, K):
         P = ParametricSystem(mats, vecs, IntervalVector(lo, hi))
         try:
             dets = [np.linalg.det(parametric.eval_parametric(P, p)[0])
-                    for p in parametric._vertex_parameters(P, 10)]
+                    for chunk in vertex_chunks(P.box.lo, P.box.hi, 1 << 10)
+                    for p in chunk]
         except Exception:
             continue
         if min(np.abs(dets)) > 0.5 and len(set(np.sign(dets))) == 1:
@@ -665,8 +668,7 @@ def test_criterion_10_classification_soundness(class_pools):
                 classify.is_regular_via_h(A),
             ]
             members = oracle.sample_members(A, 200, rng)
-            vertices = np.concatenate(list(
-                oracle._flat_vertex_chunks(A.lo, A.hi, 1 << 16)))
+            vertices = np.concatenate(list(vertex_chunks(A.lo, A.hi, 1 << 16)))
             members = np.concatenate([members, vertices])
             for rep in reports:
                 prop = _MEMBER_PROPERTY[rep.matrix_class]

@@ -199,6 +199,32 @@ class TestCliExitCodes:
         assert main(["verify", "--op", "det", m_matrix_file, "--cap", "2"]) == 4
         capsys.readouterr()
 
+    def test_removed_flags_are_usage_errors(self, m_matrix_file, system_file,
+                                            parametric_file, capsys):
+        for argv in (["classify", m_matrix_file, "--tolerance", "1"],
+                     ["solve", system_file, "--seed", "1"],
+                     ["param", "pd", parametric_file, "--param-cap", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_cap_reaches_param_and_norm(self, tmp_path, capsys):
+        four_params = _write(tmp_path, "p4.json", {
+            "format_version": 1, "kind": "parametric",
+            "A_k": [[[1, 0], [0, 1]]] * 4, "b_k": [[0, 0]] * 4,
+            "p": [[1, 2]] * 4,
+        })
+        assert main(["param", "pd", four_params, "--cap", "8"]) == 4
+        assert main(["param", "pd", four_params, "--cap", "16"]) == 0
+        nonneg = _write(tmp_path, "nn.json", {
+            "format_version": 1, "kind": "matrix",
+            "entries": [[[1, 2]] * 4] * 4,
+        })
+        assert main(["range", "norm", nonneg, "--which", "inf1", "--cap", "4"]) == 4
+        assert main(["range", "norm", nonneg, "--which", "inf1", "--cap", "8"]) == 0
+        capsys.readouterr()
+
     def test_wrong_kind_is_2(self, system_file, capsys):
         assert main(["range", "det", system_file]) == 2
         capsys.readouterr()

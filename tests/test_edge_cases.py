@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_tp_instance
-from ivmat import classify, kernel, linsolve, oracle, ranges
-from ivmat.intervals import IntervalMatrix, IntervalVector
+from conftest import make_sign_stable_instance, make_tp_instance
+from ivmat import classify, kernel, linsolve, oracle, parametric, ranges
+from ivmat.errors import CapExceeded
+from ivmat.intervals import IntervalMatrix, IntervalVector, vertex_chunks
 from ivmat.linsolve import IntervalLinearSystem
+from ivmat.parametric import ParametricSystem
 
 
 class TestOneByOne:
@@ -109,3 +111,125 @@ class TestLargerTotallyPositive:
         smin = ranges.sigma_min_range(A)
         assert smin.value.lo - 1e-9 <= sampled.lo
         assert sampled.hi <= smin.value.hi + 1e-9
+
+
+# -- one cap meaning: cap_evals counts the realizations an enumeration evaluates
+
+_INV_M = IntervalMatrix.from_midrad(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0,
+                                    np.full((2, 2), 0.02))  # 2^4 vertices
+_NONNEG = IntervalMatrix.from_midrad(np.full((4, 4), 1.0), np.full((4, 4), 0.1))
+_M4 = IntervalMatrix.from_midrad(4.0 * np.eye(4) - 0.5, np.full((4, 4), 0.05))
+_SYM_M_NOT_H = IntervalMatrix.from_midrad(2.5 * np.eye(4) - 0.5,
+                                          0.5 * (1.0 - np.eye(4)))
+_SIGN_STABLE = make_sign_stable_instance(np.random.default_rng(3), 2)  # 2^4 vertices
+_P_SIGN = IntervalMatrix.from_midrad(np.array([[2.0, 0.5], [0.5, 2.0]]),
+                                     np.full((2, 2), 0.1))
+
+
+def _rank_one_family():
+    u = np.array([1.0, 0.5, -0.5])
+    mats = [3.0 * np.eye(3)] + [0.1 * np.outer(u, np.roll(u, s)) for s in range(3)]
+    vecs = [np.ones(3)] + [np.zeros(3)] * 3
+    return ParametricSystem(mats, vecs, IntervalVector([1.0] + [-1.0] * 3,
+                                                       [1.0] + [1.0] * 3))
+
+
+def _single_equation_family():
+    mats = [3.0 * np.eye(3)]
+    vecs = [np.ones(3)]
+    for r in range(3):
+        Ak = np.zeros((3, 3))
+        Ak[r] = 0.2
+        bk = np.zeros(3)
+        bk[r] = 0.3
+        mats.append(Ak)
+        vecs.append(bk)
+    return ParametricSystem(mats, vecs, IntervalVector([1.0] + [-1.0] * 3,
+                                                       [1.0] + [1.0] * 3))
+
+
+def _verdict(cls_name):
+    def capped(reports):
+        return {r.matrix_class: r.verdict for r in reports}[cls_name] == "unknown"
+    return capped
+
+
+# name -> (realizations the call evaluates, call(cap), test that a result reports
+# the cap; None where a capped call raises CapExceeded instead)
+CAPPED_ENTRY_POINTS = {
+    "intervals.vertex_chunks": (
+        1 << 5, lambda cap: list(vertex_chunks(np.zeros(5), np.ones(5), cap)), None),
+    "kernel.sign_vector_norm": (
+        1 << 5, lambda cap: kernel.sign_vector_norm(np.arange(18.0).reshape(3, 6),
+                                                    cap_evals=cap), None),
+    "kernel.matrix_norm inf1": (
+        1 << 4, lambda cap: kernel.matrix_norm(np.eye(5), "inf1", cap_evals=cap), None),
+    "kernel.regularity_radius": (
+        1 << 3, lambda cap: kernel.regularity_radius(_M4.mid, cap_evals=cap), None),
+    "ranges.norm_range inf1": (
+        1 << 3, lambda cap: ranges.norm_range(_NONNEG, "inf1", cap_evals=cap), None),
+    "ranges.rr_range": (
+        1 << 3, lambda cap: ranges.rr_range(_M4, cap_evals=cap), None),
+    "ranges.inverse_bounds": (
+        1 << 4, lambda cap: ranges.inverse_bounds(_INV_M, cap_evals=cap), None),
+    "ranges.det_range": (
+        1 << 4, lambda cap: ranges.det_range(_SIGN_STABLE, cap_evals=cap),
+        lambda res: res.strategy == "sign-stable-midpoint-certified"),
+    "classify.is_inverse_m_interval": (
+        1 << 4, lambda cap: classify.is_inverse_m_interval(_INV_M, cap_evals=cap), None),
+    "classify.conjecture_check_inverse_m": (
+        1 << 4, lambda cap: classify.conjecture_check_inverse_m(_INV_M, cap_evals=cap),
+        None),
+    "classify.classify_all": (
+        1 << 4, lambda cap: classify.classify_all(_INV_M, cap_evals=cap),
+        _verdict("InverseM")),
+    "classify.is_positive_definite_sufficient": (
+        1 << 3, lambda cap: classify.is_positive_definite_sufficient(_SYM_M_NOT_H,
+                                                                      cap_evals=cap),
+        None),
+    # 2^(n-1) sign vertices, each with 2^n - 1 principal minors
+    "classify.is_p_matrix_special": (
+        2 * 3, lambda cap: [classify.is_p_matrix_special(_P_SIGN, cap_evals=cap)],
+        _verdict("PMatrixSpecialCase")),
+    "linsolve.hull_bounds_inverse_m": (
+        1 << 4, lambda cap: linsolve.hull_bounds_inverse_m(
+            IntervalLinearSystem(_INV_M, IntervalVector([1.0, 1.0], [2.0, 2.0])),
+            cap_evals=cap), None),
+    "parametric.is_pd_parametric": (
+        1 << 3, lambda cap: parametric.is_pd_parametric(
+            ParametricSystem([np.eye(2)] * 4, [np.zeros(2)] * 4,
+                             IntervalVector([1.0] * 4, [1.0] + [2.0] * 3)),
+            cap_evals=cap), None),
+    "parametric.hull_rank_one": (
+        1 << 3, lambda cap: parametric.hull_rank_one(_rank_one_family(), cap_evals=cap),
+        None),
+    "parametric.hull_orthant_lp": (
+        1 << 3, lambda cap: parametric.hull_orthant_lp(_single_equation_family(),
+                                                       cap_evals=cap), None),
+    "oracle.det_range": (
+        1 << 4, lambda cap: oracle.det_range(_INV_M, oracle.OracleConfig(vertex_cap=cap)),
+        None),
+    "oracle.solution_hull": (
+        1 << 6, lambda cap: oracle.solution_hull(
+            _INV_M, IntervalVector([1.0, 1.0], [2.0, 2.0]),
+            oracle.OracleConfig(vertex_cap=cap)), None),
+    "oracle.range_sampling": (
+        1 << 4, lambda cap: oracle.range_sampling(
+            np.linalg.det, _INV_M, oracle.OracleConfig(vertex_cap=cap, samples=5)),
+        None),
+    "oracle.find_singular_member": (
+        1 << 4, lambda cap: oracle.find_singular_member(
+            _INV_M, oracle.OracleConfig(vertex_cap=cap)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_ENTRY_POINTS))
+def test_cap_counts_realizations(name):
+    """A cap equal to the realization count suffices; one less is refused."""
+    count, call, capped = CAPPED_ENTRY_POINTS[name]
+    result = call(count)
+    if capped is None:
+        with pytest.raises(CapExceeded):
+            call(count - 1)
+    else:
+        assert not capped(result) and capped(call(count - 1))

@@ -17,10 +17,12 @@ from ivmat.intervals import (
     comparison_matrix,
     imatmul,
     sign_flip_at,
-    sign_vectors,
-    vertex_count,
-    vertex_iter,
+    vertex_chunks,
 )
+
+
+def _vertices(A, cap_evals=1 << 20):
+    return [v for chunk in vertex_chunks(A.lo, A.hi, cap_evals) for v in chunk]
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -173,26 +175,41 @@ class TestVertexIteration:
         rng = np.random.default_rng(0)
         lo = rng.normal(size=(2, 2))
         A = IntervalMatrix(lo, lo + 1.0)
-        assert vertex_count(A) == 16
-        assert len(list(vertex_iter(A))) == 16
+        assert len(_vertices(A)) == 16
         P = IntervalMatrix.point(lo)
-        assert len(list(vertex_iter(P))) == 1
+        assert len(_vertices(P)) == 1
         D = IntervalMatrix.from_midrad(np.zeros((3, 3)), np.diag([1.0, 1.0, 1.0]))
-        assert len(list(vertex_iter(D))) == 8
+        assert len(_vertices(D)) == 8
 
     def test_unique_and_members(self):
         lo = np.array([[0.0, 1.0], [1.0, 0.0]])
         A = IntervalMatrix(lo, lo + np.array([[1.0, 0.0], [2.0, 3.0]]))
-        seen = {tuple(v.ravel()) for v in vertex_iter(A)}
-        assert len(seen) == vertex_count(A)
-        for v in vertex_iter(A):
+        vertices = _vertices(A)
+        assert len({tuple(v.ravel()) for v in vertices}) == len(vertices) == 8
+        for v in vertices:
             assert A.contains_point(v)
             assert np.all((v == A.lo) | (v == A.hi))
+            assert v[0, 1] == 1.0  # the degenerate entry never branches
+
+    def test_chunks_cover_every_vertex_once_in_mask_order(self):
+        # 2^15 vertices span two enumeration chunks; vertex i is mask i.
+        lo = np.zeros(16)
+        hi = np.ones(16)
+        hi[5] = 0.0
+        block = np.concatenate(list(vertex_chunks(lo, hi)))
+        branching = np.flatnonzero(hi > lo)
+        masks = (block[:, branching] * (1 << np.arange(15))).sum(axis=1)
+        assert np.array_equal(masks, np.arange(1 << 15))
+        assert np.all(block[:, 5] == 0.0)
 
     def test_cap(self):
         A = IntervalMatrix.from_midrad(np.zeros((5, 5)), np.ones((5, 5)))
         with pytest.raises(CapExceeded):
-            next(vertex_iter(A, cap=24))
+            vertex_chunks(A.lo, A.hi, 1 << 24)
+        lo = np.zeros(4)
+        assert len(_vertices(IntervalVector(lo, lo + 1.0), 16)) == 16
+        with pytest.raises(CapExceeded):
+            vertex_chunks(lo, lo + 1.0, 15)
 
 
 class TestSignVectors:
@@ -201,7 +218,7 @@ class TestSignVectors:
         assert np.allclose(sign_flip_at(3, 1), [1, -1, 1])
 
     def test_enumeration(self):
-        vs = list(sign_vectors(3))
+        vs = _vertices(IntervalVector(-np.ones(3), np.ones(3)))
         assert len(vs) == 8
         assert len({tuple(v) for v in vs}) == 8
         assert all(set(np.unique(v)) <= {-1.0, 1.0} for v in vs)

@@ -109,7 +109,7 @@ class TestPdParametric:
         P = ParametricSystem([np.eye(2)] * K, [np.zeros(2)] * K,
                              IntervalVector([1.0] * K, [2.0] * K))
         with pytest.raises(CapExceeded):
-            is_pd_parametric(P, cap=3)
+            is_pd_parametric(P, cap_evals=3)
 
     def test_interior_samples_stay_pd(self):
         P = ParametricSystem(

@@ -366,8 +366,8 @@ class TestInverseBounds:
         res = ranges.inverse_bounds(A)
         assert res.strategy == "inverse-m-sign-flip-family"
         # exhaustive vertex inverses stay inside and attain the bounds
-        from ivmat.intervals import vertex_iter
-        inv_stack = np.array([np.linalg.inv(v) for v in vertex_iter(A)])
+        from ivmat.intervals import vertex_chunks
+        inv_stack = np.linalg.inv(np.concatenate(list(vertex_chunks(A.lo, A.hi))))
         assert np.all(inv_stack >= res.value.lo[None] - 1e-10)
         assert np.all(inv_stack <= res.value.hi[None] + 1e-10)
         assert np.allclose(inv_stack.min(axis=0), res.value.lo, atol=1e-10)
