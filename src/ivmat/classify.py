@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernel, oracle
 from .errors import CapExceeded, PreconditionViolated, SingularMatrix
@@ -27,6 +28,7 @@ from .intervals import (
 )
 
 STRICT_RTOL = 1e-10
+_STACK_BUDGET = 1 << 16  # matrix entries per stacked determinant call
 
 YES = "yes"
 NO = "no"
@@ -171,25 +173,41 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
 
 
 def is_totally_positive_real(a) -> ClassReport:
-    """Total positivity of a real matrix via contiguous-window minors.
+    """Total positivity of a square real matrix via contiguous-window minors.
 
     All minors on consecutive row and consecutive column index windows must
-    be positive; positivity of every other minor then follows.
+    be positive; positivity of every other minor then follows. The windows
+    of each size k are visited in row-major (i0, j0) order, one stacked
+    determinant per chunk of window rows, so the first nonpositive minor is
+    the one a window-by-window scan would meet.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     tol = _tol(a)
     for k in range(1, n + 1):
-        for i0 in range(n - k + 1):
-            for j0 in range(n - k + 1):
-                minor = float(np.linalg.det(a[i0:i0 + k, j0:j0 + k]))
-                if minor <= tol:
-                    return ClassReport("TotallyPositive", NO, {
-                        "reason": "nonpositive contiguous minor",
-                        "rows": (i0, i0 + k),
-                        "cols": (j0, j0 + k),
-                        "minor": minor,
-                    })
+        # the 1x1 windows are the entries; sliding_window_view costs more to
+        # set up than an early failure at k = 1 costs in all
+        windows = a[:, :, None, None] if k == 1 else sliding_window_view(a, (k, k))
+        width = windows.shape[1]
+        # chunks of window rows, doubling from one row up to the budget: an
+        # early failure costs one row, a full scan few calls
+        most = max(1, _STACK_BUDGET // (width * k * k))
+        start, rows = 0, 1
+        while start < len(windows):
+            minors = np.linalg.det(windows[start:start + rows])
+            fails = minors <= tol
+            first = int(fails.argmax())
+            if fails.flat[first]:
+                i, j0 = divmod(first, width)
+                i0 = start + i
+                return ClassReport("TotallyPositive", NO, {
+                    "reason": "nonpositive contiguous minor",
+                    "rows": (i0, i0 + k),
+                    "cols": (j0, j0 + k),
+                    "minor": float(minors[i, j0]),
+                })
+            start += rows
+            rows = min(2 * rows, most)
     return ClassReport("TotallyPositive", YES, {"windows_checked": True})
 
 
@@ -224,30 +242,32 @@ def is_b_matrix_interval(A: IntervalMatrix) -> ClassReport:
     n = A.rows
     tol = _tol(A.lo, A.hi)
     row_lo_sums = A.lo.sum(axis=1)
-    for i in range(n):
-        if row_lo_sums[i] <= tol:
-            witness = A.mid.copy()
-            witness[i, :] = A.lo[i, :]
+    # column 0 holds the row-sum test of row i and column 1 + k its dominance
+    # test against column k, so the first failure in row-major order is the
+    # first one a row-by-row scan meets
+    fails = np.empty((n, n + 1), dtype=bool)
+    fails[:, 0] = row_lo_sums <= tol
+    fails[:, 1:] = row_lo_sums[:, None] - A.lo <= (n - 1) * A.hi + tol
+    np.fill_diagonal(fails[:, 1:], False)
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        i, col = divmod(int(bad[0]), n + 1)
+        witness = A.mid.copy()
+        witness[i, :] = A.lo[i, :]
+        if col == 0:
             return ClassReport("BMatrix", NO, {
                 "reason": "nonpositive lower row sum",
                 "row": i,
                 "witness": witness,
             })
-        for k in range(n):
-            if k == i:
-                continue
-            lhs = row_lo_sums[i] - A.lo[i, k]
-            rhs = (n - 1) * A.hi[i, k]
-            if lhs <= rhs + tol:
-                witness = A.mid.copy()
-                witness[i, :] = A.lo[i, :]
-                witness[i, k] = A.hi[i, k]
-                return ClassReport("BMatrix", NO, {
-                    "reason": "row-mean dominance fails",
-                    "row": i,
-                    "column": k,
-                    "witness": witness,
-                })
+        k = col - 1
+        witness[i, k] = A.hi[i, k]
+        return ClassReport("BMatrix", NO, {
+            "reason": "row-mean dominance fails",
+            "row": i,
+            "column": k,
+            "witness": witness,
+        })
     return ClassReport("BMatrix", YES, {"row_lower_sums": row_lo_sums})
 
 
@@ -390,13 +410,26 @@ def conjecture_check_inverse_m(A: IntervalMatrix,
 
 
 def _real_p_test(a: np.ndarray, tol: float) -> tuple[bool, tuple | None]:
-    """All principal minors positive, by enumeration of index subsets."""
+    """All principal minors positive, by enumeration of index subsets.
+
+    The subsets of each size k are visited in ``itertools.combinations``
+    order, one stacked determinant per chunk of subsets. Each chunk is as
+    large as the element budget allows, so an early failure wastes at most
+    one budget's worth of determinants.
+    """
     n = a.shape[0]
     for k in range(1, n + 1):
-        for rows in itertools.combinations(range(n), k):
-            minor = float(np.linalg.det(a[np.ix_(rows, rows)]))
-            if minor <= tol:
-                return False, rows
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        per_call = max(1, _STACK_BUDGET // (k * k))
+        while True:
+            idx = np.fromiter(itertools.islice(flat, per_call * k), dtype=np.intp)
+            if not idx.size:
+                break
+            idx = idx.reshape(-1, k)
+            fails = np.linalg.det(a[idx[:, :, None], idx[:, None, :]]) <= tol
+            first = int(fails.argmax())
+            if fails[first]:
+                return False, tuple(idx[first].tolist())
     return True, None
 
 

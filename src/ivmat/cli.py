@@ -334,12 +334,13 @@ def _verify(args) -> int:
                          worst <= tol, f"worst deviation {worst:.3e}")
         elif op == "eig":
             results = ranges.eig_ranges(A)
-            target = as_symmetric(A) if classify.is_symmetric_family(A) else A
+            symmetric = classify.is_symmetric_family(A)
+            target = as_symmetric(A) if symmetric else A
+            eigenvalues = (kernel.sym_eigenvalues if symmetric
+                           else kernel.real_eigenvalues_sorted)
             for i, res in enumerate(results):
                 def f(m, i=i):
-                    if classify.is_symmetric_family(A):
-                        return float(kernel.sym_eigenvalues(m)[i])
-                    return float(kernel.real_eigenvalues_sorted(m)[i])
+                    return float(eigenvalues(m)[i])
                 ok &= _verify_range_by_sampling(lines, f"eig lambda_{i + 1}", res,
                                                 f, target, cfg, tol)
         elif op == "rho":

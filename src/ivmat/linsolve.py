@@ -322,9 +322,8 @@ def solve_hull(sys: IntervalLinearSystem, method: str = "auto",
     if classify.is_h_matrix_interval(sys.A).is_yes:
         return hull_hbrnk(sys)
     try:
-        if classify.is_inverse_m_interval(sys.A, cap_evals=cap_evals).is_yes:
-            return hull_bounds_inverse_m(sys, cap_evals=cap_evals)
-    except CapExceeded:
+        return hull_bounds_inverse_m(sys, cap_evals=cap_evals)
+    except (PreconditionViolated, CapExceeded):
         pass
     hull = oracle.solution_hull(sys.A, sys.b, cfg or oracle.DEFAULT_CONFIG)
     return HullResult(hull, "oracle-vertex-enumeration", EXACT, {

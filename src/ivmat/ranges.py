@@ -173,13 +173,15 @@ def eig_ranges_diag_interval(A) -> list[RangeResult]:
     S = _require_diag_interval_symmetric(A)
     lo_vals = kernel.sym_eigenvalues(S.lo)
     hi_vals = kernel.sym_eigenvalues(S.hi)
-    results = []
-    for i in range(S.n):
-        results.append(RangeResult(
-            Interval(float(lo_vals[i]), float(hi_vals[i])),
-            f"diagonally-interval-endpoints-lambda{i + 1}",
-            {"min": S.lo.copy(), "max": S.hi.copy()}))
-    return results
+    # every range is attained at the same two endpoints, so all results share
+    # one read-only copy of each
+    lo, hi = S.lo.copy(), S.hi.copy()
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    return [RangeResult(Interval(float(lo_vals[i]), float(hi_vals[i])),
+                        f"diagonally-interval-endpoints-lambda{i + 1}",
+                        {"min": lo, "max": hi})
+            for i in range(S.n)]
 
 
 def spectral_radius_max_diag_interval(A) -> UpperBound:

@@ -1,5 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     make_b_instance,
@@ -11,7 +17,12 @@ from conftest import (
 )
 from ivmat import classify, kernel, oracle
 from ivmat.errors import CapExceeded
-from ivmat.intervals import IntervalMatrix, alternating_signs, sign_similarity
+from ivmat.intervals import (
+    IntervalMatrix,
+    alternating_signs,
+    checkerboard_vertices,
+    sign_similarity,
+)
 
 # the running 2x2 counterexample: regular, midpoint H, but itself not H
 H_COUNTEREXAMPLE = IntervalMatrix([[0.0, 1.0], [-1.0, 10.0]],
@@ -347,3 +358,229 @@ class TestSoundnessSampling:
         A = make_inverse_nonneg_instance(rng, 3)
         for member in oracle.sample_members(A, 50, rng):
             assert np.all(np.linalg.inv(member) >= -1e-10)
+
+
+# -- stacked recognition kernels against the per-window scans they replaced --
+
+def _tp_per_window(a):
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    tol = classify._tol(a)
+    for k in range(1, n + 1):
+        for i0 in range(n - k + 1):
+            for j0 in range(n - k + 1):
+                minor = float(np.linalg.det(a[i0:i0 + k, j0:j0 + k]))
+                if minor <= tol:
+                    return classify.ClassReport("TotallyPositive", "no", {
+                        "reason": "nonpositive contiguous minor",
+                        "rows": (i0, i0 + k),
+                        "cols": (j0, j0 + k),
+                        "minor": minor,
+                    })
+    return classify.ClassReport("TotallyPositive", "yes", {"windows_checked": True})
+
+
+def _p_per_subset(a, tol):
+    n = a.shape[0]
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(n), k):
+            minor = float(np.linalg.det(a[np.ix_(rows, rows)]))
+            if minor <= tol:
+                return False, rows
+    return True, None
+
+
+def _b_per_row(A):
+    n = A.rows
+    tol = classify._tol(A.lo, A.hi)
+    row_lo_sums = A.lo.sum(axis=1)
+    for i in range(n):
+        if row_lo_sums[i] <= tol:
+            witness = A.mid.copy()
+            witness[i, :] = A.lo[i, :]
+            return classify.ClassReport("BMatrix", "no", {
+                "reason": "nonpositive lower row sum",
+                "row": i,
+                "witness": witness,
+            })
+        for k in range(n):
+            if k == i:
+                continue
+            lhs = row_lo_sums[i] - A.lo[i, k]
+            rhs = (n - 1) * A.hi[i, k]
+            if lhs <= rhs + tol:
+                witness = A.mid.copy()
+                witness[i, :] = A.lo[i, :]
+                witness[i, k] = A.hi[i, k]
+                return classify.ClassReport("BMatrix", "no", {
+                    "reason": "row-mean dominance fails",
+                    "row": i,
+                    "column": k,
+                    "witness": witness,
+                })
+    return classify.ClassReport("BMatrix", "yes", {"row_lower_sums": row_lo_sums})
+
+
+def _exact(x):
+    """Bit-exact, type-exact image of a certificate value: floats by hex."""
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape,
+                tuple(float(v).hex() for v in x.ravel()))
+    if isinstance(x, dict):
+        return tuple((key, _exact(value)) for key, value in x.items())
+    if isinstance(x, tuple):
+        return ("tuple",) + tuple(_exact(v) for v in x)
+    return (type(x).__name__, x)
+
+
+def _assert_same_report(got, expected):
+    assert (got.matrix_class, got.verdict, got.cost_note) == \
+        (expected.matrix_class, expected.verdict, expected.cost_note)
+    assert _exact(got.certificate) == _exact(expected.certificate)
+
+
+def _kernel_matrices(pools):
+    """Real test matrices: pool endpoints, midpoints and checkerboard vertices,
+    random matrices at n = 1..12, zero and 1x1 matrices, and TP kernel
+    matrices exp(x_i y_j) with increasing nodes, where every window passes."""
+    for pool in pools.values():
+        for A in pool:
+            yield from (A.lo, A.hi, A.mid)
+            yield from checkerboard_vertices(A)
+    rng = np.random.default_rng(60)
+    for n in range(1, 13):
+        for _ in range(4):
+            yield rng.uniform(-0.3, 1.5, (n, n))
+            yield rng.uniform(0.5, 1.5, (n, n))
+    for n in (0, 1, 2, 5):
+        yield np.zeros((n, n))
+    yield from (np.array([[x]]) for x in (2.0, 1e-11, -1.0, 0.0))
+    # a minor equal to the tolerance: 1e-10 * 1e10 == 1.0 == det([[1.0]])
+    yield np.array([[1.0, 1e10], [1e10, 3.0]])
+    for a in _tp_kernel_matrices():
+        # lowering the corner entry until the full determinant turns negative
+        # leaves every smaller window positive: the failure comes last
+        b = a.copy()
+        b[-1, -1] -= 1.01 * np.linalg.det(a) / np.linalg.det(a[:-1, :-1])
+        yield from (a, b)
+
+
+def _tp_kernel_matrices():
+    """exp(0.3 x_i y_j) with increasing nodes x, y at n = 5..8: totally
+    positive, so every contiguous window is evaluated."""
+    rng = np.random.default_rng(63)
+    for n in range(5, 9):
+        x = np.arange(n) + np.sort(rng.uniform(0.0, 0.5, n))
+        y = np.arange(n) + np.sort(rng.uniform(0.0, 0.5, n))
+        yield np.exp(0.3 * np.outer(x, y))
+
+
+def _interval_boxes(pools):
+    rng = np.random.default_rng(61)
+    for pool in pools.values():
+        yield from pool
+    for n in range(1, 13):
+        for _ in range(4):
+            lo = rng.uniform(-0.3, 1.0, (n, n)) + np.diag(rng.uniform(0.0, 2.0 * n, n))
+            yield IntervalMatrix(lo, lo + rng.uniform(0.0, 0.3, (n, n)))
+    for n in (0, 1, 2, 5):
+        yield IntervalMatrix.point(np.zeros((n, n)))
+    yield IntervalMatrix([[1.0]], [[2.0]])
+    # ties at the tolerance 1e-10: a row sum, then a dominance inequality
+    yield IntervalMatrix.point([[1e-10]])
+    lo = np.array([[0.5 + 1e-10, 0.0], [0.0, 1.0]])
+    yield IntervalMatrix(lo, [[1.0, 0.5], [0.0, 1.0]])
+
+
+_unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+class TestStackedKernelsMatchReference:
+    def test_total_positivity(self, class_pools):
+        outcomes = set()
+        for a in _kernel_matrices(class_pools):
+            expected = _tp_per_window(a)
+            _assert_same_report(classify.is_totally_positive_real(a), expected)
+            rows = expected.certificate.get("rows")
+            outcomes.add("yes" if rows is None else rows[1] - rows[0])
+        # yes verdicts and failing windows of size 1, 2 and larger all occur
+        assert {"yes", 1, 2} <= outcomes and max(outcomes - {"yes"}) > 2
+
+    def test_kernel_matrices_pass_every_window(self):
+        for a in _tp_kernel_matrices():
+            assert classify.is_totally_positive_real(a).is_yes
+
+    def test_principal_minors(self, class_pools):
+        outcomes = set()
+        for a in _kernel_matrices(class_pools):
+            tol = classify._tol(a)
+            expected = _p_per_subset(a, tol)
+            assert classify._real_p_test(a, tol) == expected
+            ok, subset = expected
+            outcomes.add("yes" if ok else len(subset))
+        assert {"yes", 1} <= outcomes and max(outcomes - {"yes"}) > 1
+
+    def test_b_matrix(self, class_pools):
+        reasons = set()
+        for A in _interval_boxes(class_pools):
+            expected = _b_per_row(A)
+            _assert_same_report(classify.is_b_matrix_interval(A), expected)
+            reasons.add(expected.certificate.get("reason", "yes"))
+        assert reasons == {"yes", "nonpositive lower row sum", "row-mean dominance fails"}
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+               hnp.arrays(np.float64, (n, n), elements=_unit),
+               hnp.arrays(np.float64, (n, n), elements=_unit))),
+           st.integers(-12, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_finite_matrices(self, pair, exp):
+        a, b = (m * 10.0 ** exp for m in pair)
+        _assert_same_report(classify.is_totally_positive_real(a), _tp_per_window(a))
+        tol = classify._tol(a)
+        assert classify._real_p_test(a, tol) == _p_per_subset(a, tol)
+        A = IntervalMatrix(np.minimum(a, b), np.maximum(a, b))
+        _assert_same_report(classify.is_b_matrix_interval(A), _b_per_row(A))
+
+
+class TestStackedKernelCost:
+    @staticmethod
+    def _count_dets(monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        return calls
+
+    def test_early_failure_at_a_2x2_window(self, monkeypatch):
+        # every entry passes, then the first 2x2 window is singular; the
+        # per-window scan took 40,001 determinant calls here
+        a = np.ones((200, 200))
+        calls = self._count_dets(monkeypatch)
+        rep = classify.is_totally_positive_real(a)
+        assert rep.is_no and rep.certificate["rows"] == (0, 2)
+        assert rep.certificate["cols"] == (0, 2)
+        assert len(calls) <= 32
+
+    def test_early_failure_at_an_entry(self, monkeypatch):
+        A = make_m_instance(np.random.default_rng(62), 200)
+        calls = self._count_dets(monkeypatch)
+        rep = classify.is_totally_positive_real(A.lo)
+        assert rep.is_no and rep.certificate["rows"] == (0, 1)
+        assert len(calls) <= 2
+
+    def test_memory_stays_bounded(self):
+        a = np.ones((200, 200))
+        tracemalloc.start()
+        try:
+            rep = classify.is_totally_positive_real(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.is_no
+        assert peak < 8 * 2**20

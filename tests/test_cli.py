@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ivmat import ranges
+from ivmat import classify, ranges
 from ivmat.cli import main
 from ivmat.errors import ParseError
 from ivmat.problems import parse_problem
@@ -285,6 +285,29 @@ class TestVerifyCommand:
         assert main(["verify", "--op", "inverse", invn]) == 0
         assert main(["verify", "--op", "power", nonneg, "--k", "3"]) == 0
         capsys.readouterr()
+
+
+def test_verify_eig_tests_symmetry_once(tmp_path, capsys, monkeypatch):
+    # the family's symmetry decides the eigenvalue routine for every sampled
+    # member; testing it per member took 1,532 calls on a 3x3 file
+    path = _write(tmp_path, "dg3.json", {
+        "format_version": 1, "kind": "matrix",
+        "entries": [[[1.5, 2.5], 1, 0.5], [1, [2.5, 3.0], 0.2], [0.5, 0.2, [3.5, 4.0]]],
+    })
+    assert main(["verify", "--op", "eig", path]) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    test = classify.is_symmetric_family
+
+    def spy(A):
+        calls.append(A)
+        return test(A)
+
+    monkeypatch.setattr(classify, "is_symmetric_family", spy)
+    assert main(["verify", "--op", "eig", path]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) <= 2
+    assert expected.count("PASS") == 9 and "FAIL" not in expected
 
 
 def test_console_script_entry_point():

@@ -278,6 +278,32 @@ class TestSolveDispatch:
         res = solve_hull(IntervalLinearSystem(INV_NONNEG, b), method="oracle")
         assert np.allclose(res.hull.lo, [1, 0]) and np.allclose(res.hull.hi, [5, 4])
 
+    def test_auto_enumerates_inverse_m_vertices_twice(self, monkeypatch):
+        # one inverse-M test plus the hull enumeration; the dispatcher used to
+        # run the test once more before calling the hull
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            A = make_inverse_m_instance(rng, 3)
+            sys_ = IntervalLinearSystem(A, make_rhs(rng, 3, "mixed"))
+            if solve_hull(sys_).method == "inverse-m-vertex-enumeration":
+                break
+        else:
+            pytest.fail("no inverse-M system reached the inverse-M hull")
+        expected = hull_bounds_inverse_m(sys_)
+        calls = []
+        test = classify.is_inverse_m_interval
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "is_inverse_m_interval", spy)
+        res = solve_hull(sys_)
+        assert len(calls) == 1
+        assert (res.method, res.exactness) == (expected.method, expected.exactness)
+        assert np.array_equal(res.hull.lo, expected.hull.lo)
+        assert np.array_equal(res.hull.hi, expected.hull.hi)
+
     def test_auto_oracle_fallback_warns(self):
         # regular but in no supported class: a rotation-like point family
         A = IntervalMatrix.from_midrad(np.array([[0.0, 1.0], [-1.0, 0.0]]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,25 @@ class TestEigDiagInterval:
         A = IntervalMatrix.from_midrad(np.eye(2), np.full((2, 2), 0.1))
         with pytest.raises(PreconditionViolated):
             ranges.eig_ranges_diag_interval(A)
+
+    def test_attainers_share_one_read_only_copy(self):
+        # one copy of each endpoint for all n ranges; n copies of each took
+        # about 128 MB at n = 200
+        A = make_diag_psd_instance(np.random.default_rng(43), 200)
+        tracemalloc.start()
+        try:
+            res = ranges.eig_ranges_diag_interval(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        for r in res:
+            assert set(r.attainers) == {"min", "max"}
+            assert np.array_equal(r.attainers["min"], A.lo)
+            assert np.array_equal(r.attainers["max"], A.hi)
+            assert not r.attainers["min"].flags.writeable
+            assert not r.attainers["max"].flags.writeable
+        assert len({id(r.attainers) for r in res}) == len(res)
 
 
 class TestSpectralRadiusDiagInterval:
