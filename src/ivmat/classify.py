@@ -20,6 +20,7 @@ from .errors import CapExceeded, PreconditionViolated, SingularMatrix
 from .intervals import (
     DEFAULT_CAP,
     IntervalMatrix,
+    SymmetricIntervalMatrix,
     as_symmetric,
     checkerboard_vertices,
     comparison_matrix,
@@ -443,34 +444,28 @@ def _sign_vertices(mid: np.ndarray, rad: np.ndarray, cap_evals: int):
     return ((-v, mid - np.outer(v, v) * rad) for v in itertools.chain.from_iterable(box))
 
 
-def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> ClassReport:
-    """Interval P-matrix test on its polynomially decidable special cases.
+def _singular_member(A: IntervalMatrix, h: ClassReport | None, mid_is_m: bool):
+    """A singular member, searched for only where one must exist: an M-matrix
+    midpoint without the H property means the box is not regular."""
+    return oracle.find_singular_member(A) if mid_is_m and h.is_no else None
 
-    Dispatch: if the midpoint is an M-matrix, P-ness coincides with the
-    H-matrix property; if the midpoint or the radius is diagonal, it reduces
-    to a P-test of the lower endpoint; otherwise falls back to the
-    exponential sign-vertex criterion, capped. Beyond the cap the verdict
-    is unknown, never a guess.
-    """
-    if not A.is_square:
-        raise ValueError("P-matrix test requires a square matrix")
-    n = A.rows
-    tol = _tol(A.lo, A.hi)
-    mid, rad = A.mid, A.rad
 
-    if is_m_matrix_real(mid).is_yes:
-        h = is_h_matrix_interval(A)
+def _p_report(A: IntervalMatrix, cap_evals: int, h: ClassReport | None,
+              witness) -> ClassReport:
+    """P verdict; ``h`` is the H report when the midpoint is an M-matrix (P-ness
+    is then the H property, and ``witness`` a singular member), else None."""
+    if h is not None:
+        path = "H-matrix reduction (midpoint is an M-matrix)"
         if h.is_yes:
-            return ClassReport("PMatrixSpecialCase", YES, {
-                "path": "H-matrix reduction (midpoint is an M-matrix)",
-                "v": h.certificate["v"],
-            })
-        witness = oracle.find_singular_member(A)
+            return ClassReport("PMatrixSpecialCase", YES, {"path": path, "v": h.certificate["v"]})
         return ClassReport("PMatrixSpecialCase", NO, {
-            "path": "H-matrix reduction (midpoint is an M-matrix)",
+            "path": path,
             "reason": "not an H-matrix, hence not regular, hence not P",
             "witness": witness,
         })
+    n = A.rows
+    tol = _tol(A.lo, A.hi)
+    mid, rad = A.mid, A.rad
 
     def _is_diag(m):
         return bool(np.max(np.abs(m - np.diag(np.diag(m))), initial=0.0) <= tol)
@@ -512,30 +507,41 @@ def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> Clas
     }, cost_note="exponential (sign-vertex P-checks)")
 
 
-def is_positive_definite_sufficient(A, cap_evals: int = DEFAULT_CAP) -> ClassReport:
-    """Positive definiteness of the symmetric member family, where decidable.
+def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> ClassReport:
+    """Interval P-matrix test on its polynomially decidable special cases.
 
-    Yes when the matrix is an H-matrix with positive definite midpoint;
-    definitive no when the midpoint is a positive definite M-matrix and the
-    H-test fails (the family is then not regular); unknown otherwise. The
-    witness of a no is the sign-vertex member of least smallest eigenvalue;
-    its search raises CapExceeded beyond ``cap_evals`` sign vertices.
+    Dispatch: if the midpoint is an M-matrix, P-ness coincides with the
+    H-matrix property; if the midpoint or the radius is diagonal, it reduces
+    to a P-test of the lower endpoint; otherwise falls back to the
+    exponential sign-vertex criterion, capped. Beyond the cap the verdict
+    is unknown, never a guess.
     """
+    if not A.is_square:
+        raise ValueError("P-matrix test requires a square matrix")
+    mid_is_m = is_m_matrix_real(A.mid).is_yes
+    h = is_h_matrix_interval(A) if mid_is_m else None
+    return _p_report(A, cap_evals, h, _singular_member(A, h, mid_is_m))
+
+
+def _symmetric(A) -> SymmetricIntervalMatrix:
     try:
-        S = as_symmetric(A)
+        return as_symmetric(A)
     except ValueError as exc:
         raise PreconditionViolated(str(exc)) from exc
-    base = S.base
+
+
+def _pd_report(S: SymmetricIntervalMatrix, h: ClassReport, mid_is_m: bool,
+               cap_evals: int) -> ClassReport:
+    """PD verdict from the family's H report and its midpoint's M verdict."""
     mid = S.mid
     mid_eigs = kernel.sym_eigenvalues(mid)
     mid_pd = bool(mid_eigs[-1] > _tol(mid))
-    h = is_h_matrix_interval(base)
     if h.is_yes and mid_pd:
         return ClassReport("PositiveDefiniteSufficient", YES, {
             "v": h.certificate["v"],
             "midpoint_eigenvalues": mid_eigs,
         })
-    if mid_pd and is_m_matrix_real(mid).is_yes and h.is_no:
+    if mid_pd and mid_is_m and h.is_no:
         witness = None
         lam = None
         for _, member in _sign_vertices(mid, S.rad, cap_evals):
@@ -554,23 +560,27 @@ def is_positive_definite_sufficient(A, cap_evals: int = DEFAULT_CAP) -> ClassRep
     })
 
 
-def is_regular_via_h(A: IntervalMatrix) -> ClassReport:
-    """Regularity through the H-matrix property.
+def is_positive_definite_sufficient(A, cap_evals: int = DEFAULT_CAP) -> ClassReport:
+    """Positive definiteness of the symmetric member family, where decidable.
 
-    Exact (iff) when the midpoint is an M-matrix; otherwise the H-property
-    is still sufficient, and a failed H-test leaves regularity unknown.
+    Yes when the matrix is an H-matrix with positive definite midpoint;
+    definitive no when the midpoint is a positive definite M-matrix and the
+    H-test fails (the family is then not regular); unknown otherwise. The
+    witness of a no is the sign-vertex member of least smallest eigenvalue;
+    its search raises CapExceeded beyond ``cap_evals`` sign vertices.
     """
-    if not A.is_square:
-        raise ValueError("regularity test requires a square matrix")
-    h = is_h_matrix_interval(A)
-    mid_is_m = is_m_matrix_real(A.mid).is_yes
+    S = _symmetric(A)
+    return _pd_report(S, is_h_matrix_interval(S.base), is_m_matrix_real(S.mid).is_yes,
+                      cap_evals)
+
+
+def _regular_report(h: ClassReport, mid_is_m: bool, witness) -> ClassReport:
     if h.is_yes:
         return ClassReport("Regular", YES, {
             "v": h.certificate["v"],
             "path": "H-matrix (sufficient for regularity)",
         })
     if mid_is_m:
-        witness = oracle.find_singular_member(A)
         return ClassReport("Regular", NO, {
             "path": "regularity iff H (midpoint is an M-matrix)",
             "witness": witness,
@@ -581,17 +591,33 @@ def is_regular_via_h(A: IntervalMatrix) -> ClassReport:
     })
 
 
+def is_regular_via_h(A: IntervalMatrix) -> ClassReport:
+    """Regularity through the H-matrix property.
+
+    Exact (iff) when the midpoint is an M-matrix; otherwise the H-property
+    is still sufficient, and a failed H-test leaves regularity unknown.
+    """
+    if not A.is_square:
+        raise ValueError("regularity test requires a square matrix")
+    h = is_h_matrix_interval(A)
+    mid_is_m = is_m_matrix_real(A.mid).is_yes
+    return _regular_report(h, mid_is_m, _singular_member(A, h, mid_is_m))
+
+
 def classify_all(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> list[ClassReport]:
-    """Run every applicable recognition test; used by the CLI."""
-    reports = [
-        is_m_matrix_interval(A),
-        is_h_matrix_interval(A),
-        is_inverse_nonnegative_interval(A),
-        is_totally_positive_interval(A),
-        is_b_matrix_interval(A),
-        is_p_matrix_special(A, cap_evals=cap_evals),
-        is_regular_via_h(A),
-    ]
+    """Run every applicable recognition test once; used by the CLI.
+
+    The H report and the midpoint's M verdict are shared by the P, Regular
+    and PD reports, and so is the one singular-member search they may need.
+    """
+    m = is_m_matrix_interval(A)
+    h = is_h_matrix_interval(A)
+    reports = [m, h, is_inverse_nonnegative_interval(A),
+               is_totally_positive_interval(A), is_b_matrix_interval(A)]
+    mid_is_m = is_m_matrix_real(A.mid).is_yes
+    witness = _singular_member(A, h, mid_is_m)
+    reports += [_p_report(A, cap_evals, h if mid_is_m else None, witness),
+                _regular_report(h, mid_is_m, witness)]
     try:
         reports.append(is_inverse_m_interval(A, cap_evals=cap_evals))
     except CapExceeded:
@@ -599,7 +625,7 @@ def classify_all(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> list[ClassR
             "reason": "vertex enumeration exceeds the cap",
         }, cost_note="exponential (capped)"))
     if is_symmetric_family(A):
-        reports.append(is_positive_definite_sufficient(A, cap_evals=cap_evals))
+        reports.append(_pd_report(_symmetric(A), h, mid_is_m, cap_evals))
     structure = classify_structure(A)
     for flag in ("Nonnegative", "MidpointNonnegative", "DiagonallyInterval",
                  "SymmetricMidpoint"):

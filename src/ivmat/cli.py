@@ -149,10 +149,17 @@ def _require(problem, kind: str):
                          f"got {problem.kind!r}")
 
 
-def _cmd_classify(args) -> int:
-    problem = parse_problem(args.file)
+def _matrix(problem, square: bool = True) -> IntervalMatrix:
     _require(problem, "matrix")
-    reports = classify.classify_all(problem.matrix, cap_evals=args.cap)
+    A = problem.matrix
+    if square and not A.is_square:
+        raise ParseError(f"this command needs a square matrix, got {A.rows}x{A.cols}")
+    return A
+
+
+def _cmd_classify(args) -> int:
+    A = _matrix(parse_problem(args.file))
+    reports = classify.classify_all(A, cap_evals=args.cap)
     _emit("classify", reports, args)
     return EXIT_OK
 
@@ -184,22 +191,21 @@ def _sigma_results(A: IntervalMatrix) -> dict:
 
 
 def _cmd_range(args) -> int:
-    problem = parse_problem(args.file)
-    _require(problem, "matrix")
-    A = problem.matrix
     char = args.characteristic
+    A = _matrix(parse_problem(args.file), square=char != "norm")
     if char == "det":
         result = ranges.det_range(A, cap_evals=args.cap)
     elif char == "eig":
         try:
             result = ranges.eig_ranges(A)
-        except NoApplicableTheorem:
+        except NoApplicableTheorem as exc:
             # symmetric inverse nonnegative families still get lambda_min
-            if (classify.is_symmetric_family(A)
-                    and classify.is_inverse_nonnegative_interval(A).is_yes):
-                result = [ranges.lambda_min_range_inverse_nonneg(A)]
-            else:
+            if not classify.is_symmetric_family(A):
                 raise
+            try:
+                result = [ranges.lambda_min_range_inverse_nonneg(A)]
+            except PreconditionViolated:
+                raise exc from None
     elif char == "sigma":
         result = _sigma_results(A)
     elif char == "rho":
@@ -316,8 +322,7 @@ def _verify(args) -> int:
                          result.hull.contains_vector(reference,
                                                      tol=_CONTAINMENT_SLACK))
     else:
-        _require(problem, "matrix")
-        A = problem.matrix
+        A = _matrix(problem, square=op != "norm")
         if op == "det":
             result = ranges.det_range(A, cap_evals=args.cap)
             reference = oracle.det_range(A, cfg)

@@ -78,9 +78,6 @@ class Interval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def contains_interval(self, other: "Interval", tol: float = 0.0) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
@@ -293,9 +290,6 @@ class IntervalMatrix:
     def contains_matrix(self, other: "IntervalMatrix", tol: float = 0.0) -> bool:
         return bool(np.all(self._lo - tol <= other.lo)
                     and np.all(other.hi <= self._hi + tol))
-
-    def transpose(self) -> "IntervalMatrix":
-        return IntervalMatrix(self._lo.T, self._hi.T)
 
     def __repr__(self) -> str:
         return f"IntervalMatrix(lo={self._lo!r}, hi={self._hi!r})"

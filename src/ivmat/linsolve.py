@@ -289,43 +289,28 @@ def solve_hull(sys: IntervalLinearSystem, method: str = "auto",
 
     "auto" prefers the closed-form exact hulls, then the hbrnk enclosure
     for H-matrices, then the inverse-M enumeration, and finally the
-    brute-force oracle (with an explicit exponential-cost warning).
+    brute-force oracle (with an explicit exponential-cost warning). Each
+    method tests its own precondition; "auto" falls through on a refusal.
     """
-    if method == "invnonneg":
-        return hull_inverse_nonnegative(sys)
-    if method == "tp":
-        return hull_totally_positive(sys)
-    if method == "hbrnk":
-        return hull_hbrnk(sys)
-    if method == "ge":
-        return interval_gauss_elim(sys)
-    if method == "inversem":
-        return hull_bounds_inverse_m(sys, cap_evals=cap_evals)
-    if method == "oracle":
-        hull = oracle.solution_hull(sys.A, sys.b, cfg or oracle.DEFAULT_CONFIG)
-        return HullResult(hull, "oracle-vertex-enumeration", EXACT, {
-            "warning": "exponential vertex enumeration",
-        })
+    def oracle_hull(s, warning="exponential vertex enumeration"):
+        hull = oracle.solution_hull(s.A, s.b, cfg or oracle.DEFAULT_CONFIG)
+        return HullResult(hull, "oracle-vertex-enumeration", EXACT, {"warning": warning})
+
+    methods = {
+        "invnonneg": hull_inverse_nonnegative,
+        "tp": hull_totally_positive,
+        "hbrnk": hull_hbrnk,
+        "ge": interval_gauss_elim,
+        "inversem": lambda s: hull_bounds_inverse_m(s, cap_evals=cap_evals),
+        "oracle": oracle_hull,
+    }
+    if method in methods:
+        return methods[method](sys)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-
-    if classify.is_inverse_nonnegative_interval(sys.A).is_yes:
+    for name in ("invnonneg", "tp", "hbrnk", "inversem"):
         try:
-            return hull_inverse_nonnegative(sys)
-        except NoApplicableCase:
+            return methods[name](sys)
+        except (PreconditionViolated, NoApplicableCase, CapExceeded):
             pass
-    if classify.is_totally_positive_interval(sys.A).is_yes:
-        try:
-            return hull_totally_positive(sys)
-        except NoApplicableCase:
-            pass
-    if classify.is_h_matrix_interval(sys.A).is_yes:
-        return hull_hbrnk(sys)
-    try:
-        return hull_bounds_inverse_m(sys, cap_evals=cap_evals)
-    except (PreconditionViolated, CapExceeded):
-        pass
-    hull = oracle.solution_hull(sys.A, sys.b, cfg or oracle.DEFAULT_CONFIG)
-    return HullResult(hull, "oracle-vertex-enumeration", EXACT, {
-        "warning": "no polynomial class matched; exponential vertex enumeration used",
-    })
+    return oracle_hull(sys, "no polynomial class matched; exponential vertex enumeration used")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .intervals import IntervalMatrix, IntervalVector
+from .intervals import IntervalMatrix, IntervalVector, as_symmetric
 from .linsolve import IntervalLinearSystem
 from .parametric import ParametricSystem
 
@@ -46,6 +46,8 @@ def _interval_matrix(rows, where: str) -> IntervalMatrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where}: expected a list of rows")
     width = len(rows[0])
+    if not width:
+        raise ParseError(f"{where}[0]: empty row")
     lo = np.empty((len(rows), width))
     hi = np.empty((len(rows), width))
     for i, row in enumerate(rows):
@@ -101,8 +103,6 @@ def parse_problem(path: str) -> ProblemFile:
                 raise ParseError("matrix problem needs an 'entries' field")
             matrix = _interval_matrix(data["entries"], "entries")
             if data.get("symmetric", False):
-                from .intervals import as_symmetric
-
                 as_symmetric(matrix)  # validation only
             return ProblemFile("matrix", matrix=matrix)
         if kind == "system":

@@ -26,7 +26,6 @@ from .intervals import (
     Interval,
     IntervalMatrix,
     SymmetricIntervalMatrix,
-    as_symmetric,
     checkerboard_vertices,
     sign_flip_family,
     vertex_chunks,
@@ -155,10 +154,7 @@ def det_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
 
 
 def _require_diag_interval_symmetric(A) -> SymmetricIntervalMatrix:
-    try:
-        S = as_symmetric(A)
-    except ValueError as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    S = classify._symmetric(A)
     if not classify.is_diagonally_interval(S.base):
         raise PreconditionViolated("radius is not diagonal")
     return S
@@ -198,10 +194,7 @@ def spectral_radius_max_diag_interval(A) -> UpperBound:
 
 def lambda_min_range_inverse_nonneg(A) -> RangeResult:
     """Smallest-eigenvalue range of a symmetric inverse nonnegative family."""
-    try:
-        S = as_symmetric(A)
-    except ValueError as exc:
-        raise PreconditionViolated(str(exc)) from exc
+    S = classify._symmetric(A)
     if not classify.is_inverse_nonnegative_interval(S.base).is_yes:
         raise PreconditionViolated("matrix is not inverse nonnegative")
     lo_val = float(kernel.sym_eigenvalues(S.lo)[-1])
@@ -275,13 +268,16 @@ def eig_ranges_totally_positive(A: IntervalMatrix,
 def eig_ranges(A) -> list[RangeResult]:
     """Eigenvalue ranges via whichever theorem applies."""
     base = A.base if isinstance(A, SymmetricIntervalMatrix) else A
+    # a guard, not a fall-through: eig_ranges_diag_interval tests symmetry with
+    # another tolerance, and its refusal is the answer for a box passing this one
     if classify.is_diagonally_interval(base) and classify.is_symmetric_family(base):
         return eig_ranges_diag_interval(base)
-    if classify.is_totally_positive_interval(base).is_yes:
+    try:
         return eig_ranges_totally_positive(base)
-    raise NoApplicableTheorem(
-        "eigenvalue ranges need a diagonally interval symmetric family "
-        "or a totally positive matrix")
+    except PreconditionViolated:
+        raise NoApplicableTheorem(
+            "eigenvalue ranges need a diagonally interval symmetric family "
+            "or a totally positive matrix") from None
 
 
 def nonneg_ranges(A: IntervalMatrix) -> dict[str, RangeResult | UpperBound]:
@@ -328,24 +324,26 @@ def nonneg_ranges(A: IntervalMatrix) -> dict[str, RangeResult | UpperBound]:
         "neither the lower endpoint nor the midpoint is nonnegative")
 
 
+def _monotone_attainers(A: IntervalMatrix, what: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """The members attaining a range that is monotone over the box: the
+    endpoints of an inverse nonnegative matrix, or the checkerboard vertices
+    of a totally positive one, with the strategy prefix naming the case."""
+    if classify.is_inverse_nonnegative_interval(A).is_yes:
+        return A.lo.copy(), A.hi.copy(), "inverse-nonnegative-endpoints"
+    if classify.is_totally_positive_interval(A).is_yes:
+        down, up = checkerboard_vertices(A)
+        return down, up, "totally-positive-checkerboard"
+    raise PreconditionViolated(
+        f"{what} range needs an inverse nonnegative or totally positive matrix")
+
+
 def sigma_min_range(A: IntervalMatrix) -> RangeResult:
     """Smallest-singular-value range for inverse nonnegative or totally
     positive interval matrices."""
-    if classify.is_inverse_nonnegative_interval(A).is_yes:
-        return RangeResult(
-            Interval(float(kernel.singular_values(A.lo)[-1]),
-                     float(kernel.singular_values(A.hi)[-1])),
-            "inverse-nonnegative-endpoints-sigma-min",
-            {"min": A.lo.copy(), "max": A.hi.copy()})
-    if classify.is_totally_positive_interval(A).is_yes:
-        down, up = checkerboard_vertices(A)
-        return RangeResult(
-            Interval(float(kernel.singular_values(down)[-1]),
-                     float(kernel.singular_values(up)[-1])),
-            "totally-positive-checkerboard-sigma-min",
-            {"min": down, "max": up})
-    raise PreconditionViolated(
-        "sigma-min range needs an inverse nonnegative or totally positive matrix")
+    lo, hi, strategy = _monotone_attainers(A, "sigma-min")
+    return RangeResult(Interval(float(kernel.singular_values(lo)[-1]),
+                                float(kernel.singular_values(hi)[-1])),
+                       f"{strategy}-sigma-min", {"min": lo, "max": hi})
 
 
 def norm_range(A: IntervalMatrix, which: str = "inf",
@@ -368,22 +366,10 @@ def norm_range(A: IntervalMatrix, which: str = "inf",
 def rr_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     """Regularity-radius range for inverse nonnegative or totally positive
     interval matrices."""
-    if classify.is_inverse_nonnegative_interval(A).is_yes:
-        return RangeResult(
-            Interval(kernel.regularity_radius(A.lo, cap_evals=cap_evals),
-                     kernel.regularity_radius(A.hi, cap_evals=cap_evals)),
-            "inverse-nonnegative-endpoints-rr",
-            {"min": A.lo.copy(), "max": A.hi.copy()})
-    if classify.is_totally_positive_interval(A).is_yes:
-        down, up = checkerboard_vertices(A)
-        return RangeResult(
-            Interval(kernel.regularity_radius(down, cap_evals=cap_evals),
-                     kernel.regularity_radius(up, cap_evals=cap_evals)),
-            "totally-positive-checkerboard-rr",
-            {"min": down, "max": up})
-    raise PreconditionViolated(
-        "regularity-radius range needs an inverse nonnegative or totally "
-        "positive matrix")
+    lo, hi, strategy = _monotone_attainers(A, "regularity-radius")
+    return RangeResult(Interval(kernel.regularity_radius(lo, cap_evals=cap_evals),
+                                kernel.regularity_radius(hi, cap_evals=cap_evals)),
+                       f"{strategy}-rr", {"min": lo, "max": hi})
 
 
 def inverse_bounds(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:

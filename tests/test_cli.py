@@ -233,6 +233,33 @@ class TestCliExitCodes:
         assert main(["range", "power", m_matrix_file]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("entries", [[[1, 2]], [[]]], ids=["1x2", "empty-row"])
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["range", "det"], ["range", "eig"], ["range", "sigma"],
+        ["range", "rho"], ["range", "rr"], ["range", "inverse"],
+        ["range", "power", "--k", "2"], ["range", "cube"],
+        ["verify", "--op", "det"], ["verify", "--op", "eig"], ["verify", "--op", "rho"],
+        ["verify", "--op", "sigma"], ["verify", "--op", "rr"],
+        ["verify", "--op", "inverse"], ["verify", "--op", "power", "--k", "2"],
+        ["verify", "--op", "cube"],
+    ], ids=" ".join)
+    def test_non_square_matrix_is_2(self, tmp_path, capsys, command, entries):
+        path = _write(tmp_path, "a.json", {"format_version": 1, "kind": "matrix",
+                                           "entries": entries})
+        assert main(command + [path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ("square matrix" if entries[0] else "empty row") in err
+
+    def test_norm_stays_defined_on_rectangular_matrices(self, tmp_path, capsys):
+        path = _write(tmp_path, "a.json", {"format_version": 1, "kind": "matrix",
+                                           "entries": [[1, [2, 3]]]})
+        assert main(["range", "norm", path, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["result"]["value"] == [3.0, 4.0]
+        assert main(["verify", "--op", "norm", path]) == 0
+        capsys.readouterr()
+
 
 class TestVerifyCommand:
     def test_det_passes(self, m_matrix_file, capsys):
@@ -308,6 +335,37 @@ def test_verify_eig_tests_symmetry_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == expected
     assert len(calls) <= 2
     assert expected.count("PASS") == 9 and "FAIL" not in expected
+
+
+def test_range_eig_falls_back_to_lambda_min(tmp_path, capsys, monkeypatch):
+    # neither diagonally interval nor totally positive, but a symmetric inverse
+    # nonnegative family: its smallest eigenvalue still has a range
+    path = _write(tmp_path, "invn.json", {
+        "format_version": 1, "kind": "matrix",
+        "entries": [[2, [-1.2, -0.8]], [[-1.2, -0.8], 2]],
+    })
+    calls = []
+    test = classify.is_inverse_nonnegative_interval
+
+    def spy(A):
+        calls.append(A)
+        return test(A)
+
+    monkeypatch.setattr(classify, "is_inverse_nonnegative_interval", spy)
+    assert main(["range", "eig", path, "--format", "json"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["result"]
+    assert result["strategy"] == "inverse-nonnegative-endpoints-lambda-min"
+    assert result["value"] == pytest.approx([0.8, 1.2], rel=1e-12)
+    assert len(calls) == 1
+    # a symmetric family outside the class keeps the eigenvalue refusal
+    indefinite = _write(tmp_path, "indef.json", {
+        "format_version": 1, "kind": "matrix",
+        "entries": [[1, [1.5, 2.5]], [[1.5, 2.5], 1]],
+    })
+    assert main(["range", "eig", indefinite]) == 1
+    assert capsys.readouterr().err == (
+        "error: eigenvalue ranges need a diagonally interval symmetric family "
+        "or a totally positive matrix\n")
 
 
 def test_console_script_entry_point():

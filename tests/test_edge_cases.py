@@ -1,11 +1,14 @@
 """Degenerate-dimension and dispatch edge cases across the stack."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import make_sign_stable_instance, make_tp_instance
+import conftest
+from conftest import make_rhs, make_sign_stable_instance, make_tp_instance
 from ivmat import classify, kernel, linsolve, oracle, parametric, ranges
-from ivmat.errors import CapExceeded
+from ivmat.errors import CapExceeded, IvmatError, PreconditionViolated
 from ivmat.intervals import IntervalMatrix, IntervalVector, vertex_chunks
 from ivmat.linsolve import IntervalLinearSystem
 from ivmat.parametric import ParametricSystem
@@ -233,3 +236,95 @@ def test_cap_counts_realizations(name):
             call(count - 1)
     else:
         assert not capped(result) and capped(call(count - 1))
+
+
+# -- one recognition per top-level call ------------------------------------
+
+# every recognition test that answers with a ClassReport
+RECOGNITION_TESTS = sorted(
+    name for name, f in vars(classify).items()
+    if name.startswith("is_") and callable(f)
+    and f.__annotations__.get("return") == "ClassReport")
+# is_m_matrix_real may meet the lower endpoint, the comparison matrix and the
+# midpoint; is_totally_positive_real the two checkerboard vertices
+RUN_LIMITS = {"is_m_matrix_real": 3, "is_totally_positive_real": 2}
+
+_ONCE_RNG = np.random.default_rng(20240601)
+ONCE_INSTANCES = {
+    name: make(_ONCE_RNG, 3) for name, make in (
+        ("m", conftest.make_m_instance), ("h", conftest.make_h_instance),
+        ("tp", make_tp_instance), ("invnonneg", conftest.make_inverse_nonneg_instance),
+        ("inversem", conftest.make_inverse_m_instance),
+        ("diagpsd", conftest.make_diag_psd_instance), ("b", conftest.make_b_instance),
+        ("stable", make_sign_stable_instance))}
+ONCE_INSTANCES["nonneg-sym"] = conftest.make_nonneg_instance(_ONCE_RNG, 3, symmetric=True)
+# symmetric, positive definite M-matrix midpoint, not an H-matrix: reaches the
+# singular-member search and the PD witness
+ONCE_INSTANCES["m-mid-not-h"] = IntervalMatrix.from_midrad(
+    1.45 * np.eye(3) - 0.45, 0.2 * (1.0 - np.eye(3)))
+ONCE_RHS = {case: make_rhs(_ONCE_RNG, 3, case) for case in ("nonneg", "nonpos", "mixed")}
+
+TOP_LEVEL_CALLS = {
+    "classify_all": classify.classify_all,
+    "det_range": ranges.det_range,
+    "eig_ranges": ranges.eig_ranges,
+    "sigma_min_range": ranges.sigma_min_range,
+    "rr_range": ranges.rr_range,
+    "nonneg_ranges": ranges.nonneg_ranges,
+    "inverse_bounds": ranges.inverse_bounds,
+    **{f"solve_hull {case}": (lambda A, b=b: linsolve.solve_hull(IntervalLinearSystem(A, b)))
+       for case, b in ONCE_RHS.items()},
+}
+
+
+def test_recognition_tests_are_all_spied_on():
+    assert {"is_m_matrix_real", "is_m_matrix_interval", "is_h_matrix_interval",
+            "is_inverse_nonnegative_interval", "is_totally_positive_real",
+            "is_totally_positive_interval", "is_b_matrix_interval",
+            "is_inverse_m_interval", "is_p_matrix_special",
+            "is_positive_definite_sufficient", "is_regular_via_h"} <= set(RECOGNITION_TESTS)
+
+
+@pytest.mark.parametrize("call", sorted(TOP_LEVEL_CALLS))
+def test_each_recognition_runs_at_most_once_per_call(call, monkeypatch):
+    counts = Counter()
+
+    def spy(module, name):
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in RECOGNITION_TESTS:
+        spy(classify, name)
+    spy(oracle, "find_singular_member")
+    reached_search = False
+    for instance, A in ONCE_INSTANCES.items():
+        counts.clear()
+        try:
+            TOP_LEVEL_CALLS[call](A)
+        except IvmatError:
+            pass
+        over = {name: k for name, k in counts.items() if k > RUN_LIMITS.get(name, 1)}
+        assert not over, f"{call} on {instance}: {over}"
+        reached_search |= counts["find_singular_member"] > 0
+    if call == "classify_all":
+        assert reached_search
+
+
+def test_near_symmetric_diagonal_box_keeps_the_symmetry_refusal():
+    # is_symmetric_family accepts the 5e-11 asymmetry, as_symmetric does not;
+    # eig_ranges must report the latter's refusal, not try total positivity
+    A = IntervalMatrix.from_midrad(np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]]),
+                                   np.diag([0.1, 0.1]))
+    assert classify.is_diagonally_interval(A) and classify.is_symmetric_family(A)
+    with pytest.raises(PreconditionViolated, match="midpoint is not symmetric"):
+        ranges.eig_ranges(A)
+
+
+def test_classify_all_on_a_non_square_box_raises_the_m_test_error():
+    A = IntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="M-matrix test requires a square matrix"):
+        classify.classify_all(A)
