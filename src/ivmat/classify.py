@@ -61,6 +61,11 @@ def _tol(*arrays) -> float:
     return STRICT_RTOL * scale
 
 
+def _first(mask: np.ndarray) -> tuple[int, int]:
+    """Row-major index of the first True entry; call only after ``mask.any()``."""
+    return np.unravel_index(int(mask.argmax()), mask.shape)
+
+
 def _mig_attainer(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Member value of smallest absolute value, entrywise."""
     return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
@@ -80,9 +85,9 @@ def is_m_matrix_real(a) -> ClassReport:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     tol = _tol(a)
-    off = a - np.diag(np.diag(a))
-    if np.any(off > tol):
-        i, j = np.argwhere(off > tol)[0]
+    positive = a - np.diag(np.diag(a)) > tol
+    if positive.any():
+        i, j = _first(positive)
         return ClassReport("M", NO, {
             "reason": "positive off-diagonal entry",
             "entry": (int(i), int(j)),
@@ -105,9 +110,9 @@ def is_m_matrix_interval(A: IntervalMatrix) -> ClassReport:
     if not A.is_square:
         raise ValueError("M-matrix test requires a square matrix")
     tol = _tol(A.lo, A.hi)
-    off_hi = A.hi - np.diag(np.diag(A.hi))
-    if np.any(off_hi > tol):
-        i, j = np.argwhere(off_hi > tol)[0]
+    positive = A.hi - np.diag(np.diag(A.hi)) > tol
+    if positive.any():
+        i, j = _first(positive)
         witness = A.mid.copy()
         witness[i, j] = A.hi[i, j]
         return ClassReport("M", NO, {
@@ -158,8 +163,9 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
                 "reason": f"{name} endpoint is singular",
                 "witness": endpoint.copy(),
             })
-        if np.any(inv < -_tol(inv)):
-            i, j = np.argwhere(inv < -_tol(inv))[0]
+        negative = inv < -_tol(inv)
+        if negative.any():
+            i, j = _first(negative)
             return ClassReport("InverseNonnegative", NO, {
                 "reason": f"{name} endpoint inverse has a negative entry",
                 "entry": (int(i), int(j)),
@@ -349,8 +355,9 @@ def is_inverse_m_interval(A: IntervalMatrix,
     if not A.is_square:
         raise ValueError("inverse-M test requires a square matrix")
     tol = _tol(A.lo, A.hi)
-    if np.any(A.lo < -tol):
-        i, j = np.argwhere(A.lo < -tol)[0]
+    negative = A.lo < -tol
+    if negative.any():
+        i, j = _first(negative)
         witness = A.mid.copy()
         witness[i, j] = A.lo[i, j]
         return ClassReport("InverseM", NO, {
@@ -625,7 +632,10 @@ def classify_all(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> list[ClassR
             "reason": "vertex enumeration exceeds the cap",
         }, cost_note="exponential (capped)"))
     if is_symmetric_family(A):
-        reports.append(_pd_report(_symmetric(A), h, mid_is_m, cap_evals))
+        try:
+            reports.append(_pd_report(_symmetric(A), h, mid_is_m, cap_evals))
+        except PreconditionViolated as exc:  # as_symmetric's tolerance is the tighter one
+            reports.append(ClassReport("PositiveDefiniteSufficient", UNKNOWN, {"reason": str(exc)}))
     structure = classify_structure(A)
     for flag in ("Nonnegative", "MidpointNonnegative", "DiagonallyInterval",
                  "SymmetricMidpoint"):

@@ -1,9 +1,11 @@
 """Dense real linear algebra primitives used by every theorem-backed routine.
 
-Factorizations are LAPACK-backed (via numpy/scipy); this module adds the
-package-wide notion of numerical singularity (pivot magnitude relative to
-the matrix inf-norm), the exponential max-of-sign-vectors norm, and a thin
-LP wrapper with explicit optimal/infeasible/unbounded statuses.
+Factorizations are LAPACK-backed; ``solve`` and ``inverse`` call the LU
+routines ``dgetrf``/``dgetrs`` directly through ``scipy.linalg.lapack``.
+This module adds the package-wide notion of numerical singularity (pivot
+magnitude relative to the matrix inf-norm), the exponential
+max-of-sign-vectors norm, and a thin LP wrapper with explicit
+optimal/infeasible/unbounded statuses.
 
 SciPy is imported on first use: ``scipy.linalg`` on the first pivoted LU
 solve and ``scipy.optimize`` on the first LP. Importing them costs several
@@ -40,19 +42,20 @@ def inf_norm(a: np.ndarray) -> float:
 
 def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a x = rhs by pivoted LU, applying the package's singularity test."""
-    import warnings
+    from scipy.linalg import lapack
 
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
+    a = np.asarray_chkfinite(a)
+    # dgetrf prints an XERBLA line for n = 0; the empty pivot test raises instead
+    lu, piv = lapack.dgetrf(a)[:2] if a.size else (a, None)
+    pivot = np.min(np.abs(np.diag(lu)))
     tol = PIVOT_RTOL * inf_norm(a)
-    if np.min(np.abs(np.diag(lu))) <= tol:
+    if pivot <= tol:
         raise SingularMatrix(
-            f"pivot magnitude {np.min(np.abs(np.diag(lu))):.3e} at or below "
-            f"tolerance {tol:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+            f"pivot magnitude {pivot:.3e} at or below tolerance {tol:.3e}")
+    rhs = np.asarray_chkfinite(rhs)
+    if rhs.ndim > 2 or rhs.shape[:1] != a.shape[:1]:
+        raise ValueError(f"Shapes of lu {a.shape} and b {rhs.shape} are incompatible")
+    return lapack.dgetrs(lu, piv, rhs)[0]
 
 
 def det(a) -> float:

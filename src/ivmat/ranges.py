@@ -379,9 +379,10 @@ def inverse_bounds(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResu
     endpoint inverse]. Inverse-M: componentwise extrema over the 2 n^2
     matrices mid +/- diag(z^i) rad diag(z^j) with single sign flips.
     """
-    if classify.is_inverse_nonnegative_interval(A).is_yes:
-        inv_hi = kernel.inverse(A.hi)
-        inv_lo = kernel.inverse(A.lo)
+    report = classify.is_inverse_nonnegative_interval(A)
+    if report.is_yes:
+        inv_lo = report.certificate["inverse_lower_endpoint"]
+        inv_hi = report.certificate["inverse_upper_endpoint"]
         hull = IntervalMatrix(np.minimum(inv_hi, inv_lo), np.maximum(inv_hi, inv_lo))
         return RangeResult(hull, "inverse-nonnegative-endpoint-inverses",
                            {"min": A.hi.copy(), "max": A.lo.copy()})

@@ -584,3 +584,56 @@ class TestStackedKernelCost:
             tracemalloc.stop()
         assert rep.is_no
         assert peak < 8 * 2**20
+
+
+class TestFirstFailureMatchesArgwhere:
+    """Certificates name the first failing entry in row-major order: the entry
+    ``np.argwhere(mask)[0]`` names, found without listing every failure."""
+
+    @given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    @settings(max_examples=200, deadline=None)
+    def test_first_of_random_masks(self, mask):
+        for view in (mask, mask.T, np.asfortranarray(mask), mask[::2, ::-1]):
+            if view.any():
+                assert classify._first(view) == tuple(np.argwhere(view)[0])
+
+    def test_m_matrix_real_at_n200(self):
+        a = make_m_instance(np.random.default_rng(71), 200).lo.copy()
+        a[150, 3] = a[7, 190] = a[7, 120] = 0.5
+        off = a - np.diag(np.diag(a))
+        i, j = np.argwhere(off > classify._tol(a))[0]
+        rep = classify.is_m_matrix_real(a)
+        assert rep.is_no and rep.certificate["entry"] == (i, j) == (7, 120)
+        assert rep.certificate["value"] == a[i, j]
+
+    def test_m_matrix_interval_at_n200(self):
+        A = make_m_instance(np.random.default_rng(72), 200)
+        hi = A.hi.copy()
+        hi[199, 0] = hi[33, 34] = 0.25
+        A = IntervalMatrix(A.lo, hi)
+        off = hi - np.diag(np.diag(hi))
+        i, j = np.argwhere(off > classify._tol(A.lo, A.hi))[0]
+        rep = classify.is_m_matrix_interval(A)
+        assert rep.is_no and rep.certificate["entry"] == (i, j) == (33, 34)
+        assert rep.certificate["witness"][i, j] == hi[i, j]
+
+    def test_inverse_nonnegative_at_n200(self):
+        A = make_m_instance(np.random.default_rng(73), 200)
+        hi = A.hi.copy()
+        hi[60, 61] = 5.0
+        A = IntervalMatrix(A.lo, hi)
+        inv = kernel.inverse(hi)
+        i, j = np.argwhere(inv < -classify._tol(inv))[0]
+        rep = classify.is_inverse_nonnegative_interval(A)
+        assert rep.is_no and rep.certificate["reason"].startswith("upper")
+        assert rep.certificate["entry"] == (i, j)
+        assert rep.certificate["inverse_entry"] == inv[i, j]
+
+    def test_inverse_m_negative_entry_at_n200(self):
+        lo = np.random.default_rng(74).uniform(0.1, 1.0, (200, 200))
+        lo[130, 2] = lo[90, 17] = lo[90, 150] = -1.0
+        A = IntervalMatrix(lo, lo + 0.5)
+        i, j = np.argwhere(lo < -classify._tol(A.lo, A.hi))[0]
+        rep = classify.is_inverse_m_interval(A)
+        assert rep.is_no and rep.certificate["entry"] == (i, j) == (90, 17)
+        assert rep.certificate["witness"][i, j] == lo[i, j]

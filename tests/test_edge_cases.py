@@ -324,6 +324,19 @@ def test_near_symmetric_diagonal_box_keeps_the_symmetry_refusal():
         ranges.eig_ranges(A)
 
 
+def test_near_symmetric_box_gets_an_unknown_pd_report():
+    # is_symmetric_family accepts the 5e-11 asymmetry, as_symmetric does not;
+    # classify_all reports the refusal instead of raising it
+    A = IntervalMatrix.from_midrad(np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]]),
+                                   np.full((2, 2), 0.1))
+    assert classify.is_symmetric_family(A)
+    reports = {r.matrix_class: r for r in classify.classify_all(A)}
+    pd = reports["PositiveDefiniteSufficient"]
+    assert pd.verdict == "unknown"
+    assert pd.certificate == {"reason": "midpoint is not symmetric"}
+    assert reports["M"].is_yes and reports["H"].is_yes
+
+
 def test_classify_all_on_a_non_square_box_raises_the_m_test_error():
     A = IntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValueError, match="M-matrix test requires a square matrix"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,88 @@ class TestInverse:
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(SingularMatrix):
             kernel.inverse(a)
+
+
+def _reference_solve(a, rhs):
+    """The scipy.linalg wrappers kernel's LU solve replaced; same LAPACK routines."""
+    import scipy.linalg
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(np.asarray(a, dtype=float))
+    return scipy.linalg.lu_solve((lu, piv), np.asarray(rhs, dtype=float))
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLapackLU:
+    @pytest.mark.parametrize("n", [1, 3, 10, 50, 200])
+    @pytest.mark.parametrize("layout", ["C", "F", "int"])
+    def test_bit_equal_to_scipy_wrappers(self, n, layout):
+        rng = np.random.default_rng([41, n])
+        if layout == "int":
+            a = rng.integers(-5, 6, (n, n)) + 10 * n * np.eye(n, dtype=int)
+        else:
+            a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        if layout == "F":
+            a = np.asfortranarray(a)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                    rng.integers(-3, 4, n)):
+            assert _same_bits(kernel.solve(a, rhs), _reference_solve(a, rhs))
+        assert _same_bits(kernel.inverse(a), _reference_solve(a, np.eye(n)))
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, where, bad):
+        a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2)
+        (a if where == "matrix" else b)[0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            kernel.solve(a, b)
+        if where == "matrix":
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kernel.inverse(a)
+
+    def test_rhs_of_wrong_shape_raises(self):
+        # dgetrs would read a 3-D right-hand side as a flat column block
+        for b in (np.ones(3), np.ones((3, 2)), np.ones(0), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="incompatible"):
+                kernel.solve(np.eye(2), b)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0], [2.0, 4.0]],          # exact-zero pivot
+        [[1.0, 0.0], [0.0, 1e-13]],        # pivot 1e-13 of the inf-norm
+        np.zeros((3, 3)),
+    ])
+    def test_small_pivot_is_singular(self, a):
+        with pytest.raises(SingularMatrix, match="pivot magnitude"):
+            kernel.inverse(a)
+        with pytest.raises(SingularMatrix, match="pivot magnitude"):
+            kernel.solve(a, np.ones(len(a)))
+
+    def test_pivot_above_tolerance_solves(self):
+        x = kernel.solve([[1.0, 0.0], [0.0, 1e-11]], [1.0, 1.0])
+        assert _same_bits(x, np.array([1.0, 1e11]))
+
+    def test_empty_matrix_raises_without_lapack_output(self, capfd):
+        for call in (lambda: kernel.inverse(np.zeros((0, 0))),
+                     lambda: kernel.solve(np.zeros((0, 0)), np.zeros(0))):
+            with pytest.raises(ValueError, match="zero-size array"):
+                call()
+        assert capfd.readouterr().err == ""
+
+    def test_read_only_input_is_left_alone(self):
+        rng = np.random.default_rng(43)
+        for a in (rng.standard_normal((4, 4)) + 4 * np.eye(4),
+                  np.asfortranarray(rng.standard_normal((4, 4)) + 4 * np.eye(4))):
+            b = rng.standard_normal((4, 2))
+            a_copy, b_copy = a.copy(), b.copy()
+            a.setflags(write=False)
+            b.setflags(write=False)
+            assert _same_bits(kernel.solve(a, b), _reference_solve(a_copy, b_copy))
+            assert _same_bits(kernel.inverse(a), _reference_solve(a_copy, np.eye(4)))
+            assert _same_bits(a, a_copy) and _same_bits(b, b_copy)
 
 
 class TestSymmetricEigen:

@@ -401,6 +401,22 @@ class TestInverseBounds:
         for m in oracle.sample_members(A, 200, rng):
             assert res.value.contains_point(np.linalg.inv(m), tol=1e-9)
 
+    def test_reuses_the_recognition_inverses(self, monkeypatch):
+        A = make_inverse_nonneg_instance(np.random.default_rng(47), 10)
+        inv_lo, inv_hi = kernel.inverse(A.lo), kernel.inverse(A.hi)
+        calls = []
+        inverse = kernel.inverse
+
+        def spy(a):
+            calls.append(a)
+            return inverse(a)
+
+        monkeypatch.setattr(kernel, "inverse", spy)
+        res = ranges.inverse_bounds(A)
+        assert len(calls) == 2
+        assert np.array_equal(res.value.lo, np.minimum(inv_hi, inv_lo))
+        assert np.array_equal(res.value.hi, np.maximum(inv_hi, inv_lo))
+
 
 class TestPowerHull:
     def test_spec_examples(self):
