@@ -417,38 +417,48 @@ def conjecture_check_inverse_m(A: IntervalMatrix,
                            counterexample)
 
 
-def _real_p_test(a: np.ndarray, tol: float) -> tuple[bool, tuple | None]:
-    """All principal minors positive, by enumeration of index subsets.
+def _first_nonpositive_minor(stack: np.ndarray, tol: float) -> tuple[int, tuple] | None:
+    """The first matrix of ``stack`` (m, n, n) with a principal minor <= tol,
+    and its first such index subset, or None when every minor is positive.
 
-    The subsets of each size k are visited in ``itertools.combinations``
-    order, one stacked determinant per chunk of subsets. Each chunk is as
-    large as the element budget allows, so an early failure wastes at most
-    one budget's worth of determinants.
+    Subsets are ordered by size k, then in ``itertools.combinations`` order.
+    The size-k minors of every matrix still in question are taken in stacked
+    determinant calls of at most ``_STACK_BUDGET`` entries, provided the stack
+    holds at most ``_STACK_BUDGET // n^2`` matrices. Once matrix i fails, only
+    matrices before i stay in question, so an early failure ends the scan.
     """
-    n = a.shape[0]
+    n = stack.shape[1]
+    limit, found = len(stack), None
     for k in range(1, n + 1):
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-        per_call = max(1, _STACK_BUDGET // (k * k))
-        while True:
+        while limit:
+            per_call = max(1, _STACK_BUDGET // (limit * k * k))
             idx = np.fromiter(itertools.islice(flat, per_call * k), dtype=np.intp)
             if not idx.size:
                 break
             idx = idx.reshape(-1, k)
-            fails = np.linalg.det(a[idx[:, :, None], idx[:, None, :]]) <= tol
-            first = int(fails.argmax())
-            if fails[first]:
-                return False, tuple(idx[first].tolist())
-    return True, None
+            fails = np.linalg.det(stack[:limit, idx[:, :, None], idx[:, None, :]]) <= tol
+            failing = fails.any(axis=1)
+            if failing.any():
+                limit = int(failing.argmax())
+                found = limit, tuple(idx[int(fails[limit].argmax())].tolist())
+    return found
+
+
+def _real_p_test(a: np.ndarray, tol: float) -> tuple[bool, tuple | None]:
+    """All principal minors positive; else False and the first failing subset."""
+    found = _first_nonpositive_minor(a[None], tol)
+    return (True, None) if found is None else (False, found[1])
 
 
 def _sign_vertices(mid: np.ndarray, rad: np.ndarray, cap_evals: int):
-    """(z, mid - diag(z) rad diag(z)) over z in {+-1}^n with z[0] = 1 (z and -z
-    give the same member): z = -v for the vertices v of the box lo = -1,
-    hi = (-1, 1, ..., 1)."""
+    """Stacked (Z, mid - diag(z) rad diag(z)) over z in {+-1}^n with z[0] = 1
+    (z and -z give the same member), in chunks: z = -v for the vertices v of
+    the box lo = -1, hi = (-1, 1, ..., 1)."""
     hi = np.ones(len(mid))
     hi[:1] = -1.0
-    box = vertex_chunks(-np.ones(len(mid)), hi, cap_evals)
-    return ((-v, mid - np.outer(v, v) * rad) for v in itertools.chain.from_iterable(box))
+    return ((-V, mid - V[:, :, None] * V[:, None, :] * rad)
+            for V in vertex_chunks(-np.ones(len(mid)), hi, cap_evals))
 
 
 def _singular_member(A: IntervalMatrix, h: ClassReport | None, mid_is_m: bool):
@@ -499,16 +509,19 @@ def _p_report(A: IntervalMatrix, cap_evals: int, h: ClassReport | None,
         return ClassReport("PMatrixSpecialCase", UNKNOWN, {
             "reason": "sign-vertex P-checks exceed the cap",
         }, cost_note="exponential (capped)")
-    for z, vertex in _sign_vertices(mid, rad, cap_evals):
-        ok, subset = _real_p_test(vertex, tol)
-        if not ok:
-            return ClassReport("PMatrixSpecialCase", NO, {
-                "path": "sign-vertex enumeration",
-                "reason": "sign-vertex matrix has a nonpositive principal minor",
-                "witness": vertex,
-                "sign_vector": z,
-                "principal_subset": subset,
-            }, cost_note="exponential (sign-vertex P-checks)")
+    block = max(1, _STACK_BUDGET // (n * n))
+    for Z, vertices in _sign_vertices(mid, rad, cap_evals):
+        for start in range(0, len(vertices), block):
+            found = _first_nonpositive_minor(vertices[start:start + block], tol)
+            if found is not None:
+                i, subset = found
+                return ClassReport("PMatrixSpecialCase", NO, {
+                    "path": "sign-vertex enumeration",
+                    "reason": "sign-vertex matrix has a nonpositive principal minor",
+                    "witness": vertices[start + i].copy(),
+                    "sign_vector": Z[start + i].copy(),
+                    "principal_subset": subset,
+                }, cost_note="exponential (sign-vertex P-checks)")
     return ClassReport("PMatrixSpecialCase", YES, {
         "path": "sign-vertex enumeration",
     }, cost_note="exponential (sign-vertex P-checks)")
@@ -551,10 +564,11 @@ def _pd_report(S: SymmetricIntervalMatrix, h: ClassReport, mid_is_m: bool,
     if mid_pd and mid_is_m and h.is_no:
         witness = None
         lam = None
-        for _, member in _sign_vertices(mid, S.rad, cap_evals):
-            val = float(kernel.sym_eigenvalues(member)[-1])
-            if lam is None or val < lam:
-                lam, witness = val, member
+        for _, members in _sign_vertices(mid, S.rad, cap_evals):
+            for member in members:
+                val = float(kernel.sym_eigenvalues(member)[-1])
+                if lam is None or val < lam:
+                    lam, witness = val, member.copy()
         return ClassReport("PositiveDefiniteSufficient", NO, {
             "reason": "midpoint is a positive definite M-matrix but the "
                       "family is not an H-matrix (hence not regular)",

@@ -290,16 +290,17 @@ def nonneg_ranges(A: IntervalMatrix) -> dict[str, RangeResult | UpperBound]:
     """
     if not A.is_square:
         raise ValueError("nonnegative ranges require a square matrix")
+    if A.rows == 0:
+        raise ValueError("nonnegative ranges are undefined for the empty (0x0) matrix")
     symmetric = classify.is_symmetric_family(A)
     out: dict[str, RangeResult | UpperBound] = {}
     if classify.is_nonnegative(A):
         lo, hi = A.lo, A.hi
         out["rho"] = RangeResult(
-            Interval(kernel.spectral_radius(lo), kernel.spectral_radius(hi)),
+            Interval(kernel.perron_root(lo), kernel.perron_root(hi)),
             "nonnegative-endpoints-rho", {"min": lo.copy(), "max": hi.copy()})
         out["sigma_max"] = RangeResult(
-            Interval(float(kernel.singular_values(lo)[0]),
-                     float(kernel.singular_values(hi)[0])),
+            Interval(kernel.sigma_max_nonneg(lo), kernel.sigma_max_nonneg(hi)),
             "nonnegative-endpoints-sigma-max", {"min": lo.copy(), "max": hi.copy()})
         if symmetric:
             out["lambda_max"] = RangeResult(
@@ -310,9 +311,9 @@ def nonneg_ranges(A: IntervalMatrix) -> dict[str, RangeResult | UpperBound]:
         return out
     if classify.is_midpoint_nonnegative(A):
         hi = A.hi
-        out["rho"] = UpperBound(kernel.spectral_radius(hi),
+        out["rho"] = UpperBound(kernel.perron_root(hi),
                                 "midpoint-nonnegative-upper-rho", hi.copy())
-        out["sigma_max"] = UpperBound(float(kernel.singular_values(hi)[0]),
+        out["sigma_max"] = UpperBound(kernel.sigma_max_nonneg(hi),
                                       "midpoint-nonnegative-upper-sigma-max",
                                       hi.copy())
         if symmetric:

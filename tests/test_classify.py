@@ -22,6 +22,7 @@ from ivmat.intervals import (
     alternating_signs,
     checkerboard_vertices,
     sign_similarity,
+    vertex_chunks,
 )
 
 # the running 2x2 counterexample: regular, midpoint H, but itself not H
@@ -542,6 +543,82 @@ class TestStackedKernelsMatchReference:
         assert classify._real_p_test(a, tol) == _p_per_subset(a, tol)
         A = IntervalMatrix(np.minimum(a, b), np.maximum(a, b))
         _assert_same_report(classify.is_b_matrix_interval(A), _b_per_row(A))
+
+
+def _p_sign_vertex_reference(A, tol):
+    """The sign-vertex P test one vertex at a time, as it ran before stacking:
+    (sign vector, vertex, subset) of the first failing vertex, or None."""
+    n = A.rows
+    hi = np.ones(n)
+    hi[:1] = -1.0
+    for chunk in vertex_chunks(-np.ones(n), hi):
+        for v in chunk:
+            vertex = A.mid - np.outer(v, v) * A.rad
+            ok, subset = _p_per_subset(vertex, tol)
+            if not ok:
+                return -v, vertex, subset
+    return None
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _sign_vertex_boxes():
+    """Dense-radius boxes whose midpoint is not an M-matrix, n = 2..7: some
+    pass, and the rest fail at vertices and subsets of every position."""
+    rng = np.random.default_rng(63)
+    for _ in range(120):
+        n = int(rng.integers(2, 8))
+        mid = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(
+            rng.uniform(0.5, 3.0, n) * rng.choice([1.0, 1.0, 1.0, -1.0], n))
+        rad = rng.uniform(0.0, 0.4, (n, n)) * (rng.random((n, n)) < 0.7)
+        yield IntervalMatrix.from_midrad(mid, rad)
+
+
+class TestStackedSignVertexP:
+    def test_matches_per_vertex_reference(self):
+        seen = set()
+        for A in _sign_vertex_boxes():
+            rep = classify.is_p_matrix_special(A)
+            if rep.certificate.get("path") != "sign-vertex enumeration":
+                continue
+            expected = _p_sign_vertex_reference(A, classify._tol(A.lo, A.hi))
+            if expected is None:
+                assert rep.is_yes
+                seen.add("yes")
+                continue
+            z, vertex, subset = expected
+            assert rep.is_no
+            assert _same_bits(rep.certificate["sign_vector"], z)
+            assert _same_bits(rep.certificate["witness"], vertex)
+            assert rep.certificate["principal_subset"] == subset
+            seen.add((len(subset), bool(z[1:].any() and (z[1:] < 0).any())))
+        # yes verdicts, and failures at later vertices and larger subsets
+        assert "yes" in seen and any(k > 1 for k, _ in seen - {"yes"})
+        assert any(later for _, later in seen - {"yes"})
+
+    def test_stacked_determinant_calls(self, monkeypatch):
+        # an H box with a positive diagonal at n = 8: 128 sign vertices, all P
+        A = make_h_instance(np.random.default_rng(64), 8, mixed_diag_signs=False)
+        calls = []
+        det = np.linalg.det
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        rep = classify.is_p_matrix_special(A)
+        assert rep.is_yes and rep.certificate["path"] == "sign-vertex enumeration"
+        # per vertex this took 128 x 8 calls
+        assert len(calls) <= 16
+        assert all(np.prod(shape) <= classify._STACK_BUDGET for shape in calls)
+
+    def test_cap_still_gives_unknown(self):
+        A = next(A for A in _sign_vertex_boxes() if A.rows == 7)
+        rep = classify.is_p_matrix_special(A, cap_evals=(1 << 6) * ((1 << 7) - 1) - 1)
+        assert rep.verdict == "unknown"
 
 
 class TestStackedKernelCost:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivmat import kernel
 from ivmat.errors import CapExceeded, NotSymmetric, SingularMatrix
@@ -143,6 +145,157 @@ class TestSymmetricEigen:
         for i in range(6):
             residual = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
             assert residual <= 1e-9 * scale
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_values_only_match_eigvalsh_bitwise(self, n, seed):
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        a = a + a.T
+        assert _same_bits(kernel.sym_eigenvalues(a), np.linalg.eigvalsh(a)[::-1])
+        if n > 1:
+            a[0, -1] += 1e-6
+            with pytest.raises(NotSymmetric):
+                kernel.sym_eigenvalues(a)
+
+
+def _nonneg_matrix(n, seed, density, exp):
+    """A seeded nonnegative n x n matrix with the given share of nonzero
+    entries, scaled by 10^exp."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    return a * 10.0 ** exp
+
+
+_nonneg = st.builds(_nonneg_matrix, st.integers(1, 60), st.integers(0, 2**32 - 1),
+                    st.sampled_from([0.05, 0.3, 1.0]), st.integers(-6, 6))
+
+
+def _rel(x, y):
+    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+
+class _Bracket:
+    """Counts bracket results: None is a fallback to LAPACK."""
+
+    def __init__(self, monkeypatch):
+        self.results = []
+        run = kernel._collatz_wielandt
+
+        def spy(step, n):
+            self.results.append(run(step, n))
+            return self.results[-1]
+
+        monkeypatch.setattr(kernel, "_collatz_wielandt", spy)
+
+    @property
+    def fell_back(self):
+        return bool(self.results) and self.results[-1] is None
+
+
+def _lapack_sigma(a):
+    return float(kernel.singular_values(a)[0])
+
+
+def _cyclic(n, weights):
+    return np.roll(np.eye(n), 1, axis=1) * weights
+
+
+def _bipartite(b):
+    n = b.shape[0]
+    z = np.zeros((n, n))
+    return np.block([[z, b], [b.T, z]])
+
+
+class TestPerronKernels:
+    @given(_nonneg)
+    @settings(max_examples=80, deadline=None)
+    def test_agree_with_lapack(self, a):
+        assert _rel(kernel.perron_root(a), kernel.spectral_radius(a)) <= 1e-13
+        assert _rel(kernel.sigma_max_nonneg(a), _lapack_sigma(a)) <= 1e-13
+
+    @given(st.integers(kernel._PERRON_MIN_N, 60), st.integers(0, 2**32 - 1),
+           st.integers(-20, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, n, seed, k):
+        # positive entries, so the bracket runs (LAPACK itself is not exactly
+        # scale-equivariant, so the fallbacks are not held to this)
+        a = np.random.default_rng(seed).uniform(0.01, 1.0, (n, n))
+        f = 2.0 ** k
+        assert kernel.perron_root(a * f) == f * kernel.perron_root(a)
+        assert kernel.sigma_max_nonneg(a * f) == f * kernel.sigma_max_nonneg(a)
+
+    @given(st.integers(1, kernel._PERRON_MIN_N - 1), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.05, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_below_crossover_is_lapack_bitwise(self, n, seed, density):
+        a = _nonneg_matrix(n, seed, density, 0)
+        assert kernel.perron_root(a) == kernel.spectral_radius(a)
+        assert kernel.sigma_max_nonneg(a) == _lapack_sigma(a)
+
+    @pytest.mark.parametrize("n", [kernel._PERRON_MIN_N, 50, 200])
+    def test_bracket_runs_on_positive_matrices(self, n, monkeypatch):
+        a = np.random.default_rng([5, n]).uniform(0.0, 1.0, (n, n)) + 1e-3
+        bracket = _Bracket(monkeypatch)
+        assert _rel(kernel.perron_root(a), kernel.spectral_radius(a)) <= 1e-13
+        assert _rel(kernel.sigma_max_nonneg(a), _lapack_sigma(a)) <= 1e-13
+        assert len(bracket.results) == 2 and None not in bracket.results
+
+    # n >= the crossover, so only the fallbacks decline the bracket
+    @pytest.mark.parametrize("name", ["upper-ones", "weighted-cycle", "bipartite",
+                                      "zero", "negative-entry"])
+    def test_fallbacks(self, name, monkeypatch):
+        n = 40
+        rng = np.random.default_rng(17)
+        a = {
+            # reducible: the bracket closes only like 1/steps
+            "upper-ones": np.triu(np.ones((n, n))),
+            # periodic: the iterates cycle, the bracket never closes
+            "weighted-cycle": _cyclic(n, rng.uniform(0.5, 2.0, n)),
+            "bipartite": _bipartite(rng.uniform(0.1, 1.0, (n // 2, n // 2))),
+            # a @ 1 is not positive
+            "zero": np.zeros((n, n)),
+            # classify.is_nonnegative admits this; the bracket must not
+            "negative-entry": np.where(np.eye(n, k=3) > 0, -1e-13, rng.uniform(0.1, 1.0, (n, n))),
+        }[name]
+        bracket = _Bracket(monkeypatch)
+        rho = kernel.perron_root(a)
+        if name == "negative-entry":
+            assert not bracket.results
+        else:
+            assert bracket.fell_back
+        assert rho == kernel.spectral_radius(a)
+        expected = {"upper-ones": 1.0, "zero": 0.0,
+                    "weighted-cycle": float(np.prod(np.diag(np.roll(a, -1, axis=1)))) ** (1 / n),
+                    "bipartite": _lapack_sigma(a[: n // 2, n // 2:])}.get(name)
+        if expected is not None:
+            assert rho == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert _rel(kernel.sigma_max_nonneg(a), _lapack_sigma(a)) <= 1e-13
+        if name in ("zero", "negative-entry"):
+            assert kernel.sigma_max_nonneg(a) == _lapack_sigma(a)
+
+    def test_unweighted_cycle_closes_at_once(self, monkeypatch):
+        # 1 is the Perron vector of a permutation matrix
+        bracket = _Bracket(monkeypatch)
+        assert kernel.perron_root(_cyclic(40, 1.0)) == 1.0
+        assert kernel.sigma_max_nonneg(_cyclic(40, 1.0)) == 1.0
+        assert None not in bracket.results
+
+    @pytest.mark.parametrize("value", [0.0, 3.0])
+    def test_one_by_one(self, value, monkeypatch):
+        bracket = _Bracket(monkeypatch)
+        assert kernel.perron_root([[value]]) == value
+        assert kernel.sigma_max_nonneg([[value]]) == value
+        assert not bracket.results
+
+    def test_empty_matrix_raises_value_error(self):
+        for f in (kernel.perron_root, kernel.sigma_max_nonneg):
+            with pytest.raises(ValueError, match="empty matrix"):
+                f(np.zeros((0, 0)))
+
+    def test_needs_a_square_matrix(self):
+        for f in (kernel.perron_root, kernel.sigma_max_nonneg):
+            with pytest.raises(ValueError, match="square"):
+                f(np.ones((40, 41)))
 
 
 class TestSingularValues:

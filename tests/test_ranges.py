@@ -306,6 +306,61 @@ class TestNonnegRanges:
         assert sampled.hi <= out["rho"].value.hi + 1e-9
 
 
+    def test_empty_matrix_raises_value_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            ranges.nonneg_ranges(IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0))))
+
+    @pytest.mark.parametrize("n", [kernel._PERRON_MIN_N, 50, 200])
+    def test_perron_endpoints_match_lapack(self, n):
+        A = make_nonneg_instance(np.random.default_rng([46, n]), n)
+        out = ranges.nonneg_ranges(A)
+        for key, f in (("rho", kernel.spectral_radius),
+                       ("sigma_max", lambda m: kernel.singular_values(m)[0])):
+            for end, m in (("lo", A.lo), ("hi", A.hi)):
+                assert getattr(out[key].value, end) == pytest.approx(f(m), rel=1e-13)
+
+
+class TestSpectralDispatch:
+    """Nonnegative endpoints take the Perron bracket from the crossover size
+    up, and symmetric eigenvalue ranges never compute eigenvectors."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("eigvals", "svd", "eigh", "eigvalsh"):
+            def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_n200_positive_box_makes_no_lapack_spectral_call(self, monkeypatch):
+        A = make_nonneg_instance(np.random.default_rng(48), 200)
+        calls = self._spy(monkeypatch)
+        out = ranges.nonneg_ranges(A)
+        assert set(out) == {"rho", "sigma_max"} and calls == []
+
+    def test_n200_midpoint_nonnegative_box(self, monkeypatch):
+        A = make_nonneg_instance(np.random.default_rng(49), 200)
+        A = IntervalMatrix(A.lo - 0.5 * (A.hi - A.lo), A.hi)
+        calls = self._spy(monkeypatch)
+        out = ranges.nonneg_ranges(A)
+        assert isinstance(out["rho"], UpperBound) and calls == []
+
+    def test_n3_takes_lapack(self, monkeypatch):
+        A = make_nonneg_instance(np.random.default_rng(48), 3)
+        calls = self._spy(monkeypatch)
+        ranges.nonneg_ranges(A)
+        assert sorted(calls) == ["eigvals", "eigvals", "svd", "svd"]
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_diag_interval_eigenvalues_need_no_eigenvectors(self, n, monkeypatch):
+        A = make_diag_psd_instance(np.random.default_rng(50), n)
+        calls = self._spy(monkeypatch)
+        assert len(ranges.eig_ranges_diag_interval(A)) == n
+        assert calls == ["eigvalsh", "eigvalsh"]
+
+
 class TestSigmaMin:
     def test_examples(self):
         res = ranges.sigma_min_range(INV_NONNEG)
