@@ -1,4 +1,10 @@
-"""Interval scalars, interval vectors/matrices, and vertex machinery.
+"""Interval records, array interval arithmetic, interval vectors/matrices,
+and vertex machinery.
+
+``Interval`` is a validated (lo, hi) record and does no arithmetic. All
+interval arithmetic is ``isub``, ``imul`` and ``idiv``, applied to whole
+arrays of endpoints; ``imatmul`` and the elimination in ``linsolve`` are
+built from them.
 
 Conventions used throughout the package:
 
@@ -38,7 +44,7 @@ def _validate_bounds(lo: np.ndarray, hi: np.ndarray, ndim: int, what: str) -> No
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with finite endpoints."""
+    """Closed interval [lo, hi] with finite endpoints; a record, no arithmetic."""
 
     lo: float
     hi: float
@@ -49,77 +55,12 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval has lo={self.lo} > hi={self.hi}")
 
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(float(x), float(x))
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def rad(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def mignitude(self) -> float:
-        """Smallest absolute value attained on the interval."""
-        if self.lo <= 0.0 <= self.hi:
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
-
-    def magnitude(self) -> float:
-        """Largest absolute value attained on the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __add__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __radd__(self, other: float) -> "Interval":
-        return self.__add__(other)
-
-    def __sub__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other: float) -> "Interval":
-        return _as_interval(other).__sub__(self)
-
-    def __mul__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        lo, hi = imul(self.lo, self.hi, other.lo, other.hi)
-        return Interval(float(lo), float(hi))
-
-    def __rmul__(self, other: float) -> "Interval":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        lo, hi = idiv(self.lo, self.hi, other.lo, other.hi)
-        return Interval(float(lo), float(hi))
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval.point(float(x))
-
-
-# Elementwise interval arithmetic on (lo, hi) pairs; works for scalars and
-# same-shaped ndarrays alike.
+# Elementwise interval arithmetic on (lo, hi) pairs of broadcastable arrays
+# (or scalars); the only interval arithmetic in the package.
 
 def isub(alo, ahi, blo, bhi):
     return alo - bhi, ahi - blo
@@ -135,10 +76,15 @@ def imul(alo, ahi, blo, bhi):
 
 
 def idiv(alo, ahi, blo, bhi):
-    """Interval division; the divisor must not contain zero."""
+    """Interval division; the divisor must not contain zero, nor be so close
+    to it (subnormal) that its reciprocal overflows and 0 * inf gives NaN."""
     if np.any((np.asarray(blo) <= 0.0) & (np.asarray(bhi) >= 0.0)):
         raise ZeroDivisionError("interval divisor contains zero")
-    return imul(alo, ahi, 1.0 / bhi, 1.0 / blo)
+    with np.errstate(over="ignore"):
+        rlo, rhi = 1.0 / bhi, 1.0 / blo
+    if not (np.all(np.isfinite(rlo)) and np.all(np.isfinite(rhi))):
+        raise ZeroDivisionError("interval divisor has a reciprocal that overflows")
+    return imul(alo, ahi, rlo, rhi)
 
 
 def mignitude(lo, hi):
@@ -474,13 +420,9 @@ def imatmul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
         raise ValueError("dimension mismatch in interval matrix product")
     lo = np.zeros((A.rows, B.cols))
     hi = np.zeros((A.rows, B.cols))
-    for i in range(A.rows):
-        for j in range(B.cols):
-            acc_lo, acc_hi = 0.0, 0.0
-            for k in range(A.cols):
-                plo, phi = imul(A.lo[i, k], A.hi[i, k], B.lo[k, j], B.hi[k, j])
-                acc_lo += plo
-                acc_hi += phi
-            lo[i, j] = acc_lo
-            hi[i, j] = acc_hi
+    # one outer product per k, summed in k order (no pairwise .sum reordering)
+    for k in range(A.cols):
+        p_lo, p_hi = imul(A.lo[:, k, None], A.hi[:, k, None], B.lo[k], B.hi[k])
+        lo += p_lo
+        hi += p_hi
     return IntervalMatrix(lo, hi)

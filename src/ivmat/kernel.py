@@ -48,6 +48,12 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _nonempty(a: np.ndarray) -> np.ndarray:
+    if a.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got the empty matrix of shape {a.shape}")
+    return a
+
+
 def inf_norm(a: np.ndarray) -> float:
     """Induced inf-norm (maximum absolute row sum)."""
     a = np.asarray(a, dtype=float)
@@ -60,9 +66,8 @@ def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a x = rhs by pivoted LU, applying the package's singularity test."""
     from scipy.linalg import lapack
 
-    a = np.asarray_chkfinite(a)
-    # dgetrf prints an XERBLA line for n = 0; the empty pivot test raises instead
-    lu, piv = lapack.dgetrf(a)[:2] if a.size else (a, None)
+    a = _nonempty(np.asarray_chkfinite(a))
+    lu, piv = lapack.dgetrf(a)[:2]
     pivot = np.min(np.abs(np.diag(lu)))
     tol = PIVOT_RTOL * inf_norm(a)
     if pivot <= tol:
@@ -114,7 +119,7 @@ def sym_eigenvalues(a) -> np.ndarray:
 
 def singular_values(a) -> np.ndarray:
     """Singular values sorted descending."""
-    a = np.asarray(a, dtype=float)
+    a = _nonempty(np.asarray(a, dtype=float))
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -143,12 +148,6 @@ def real_eigenvalues_sorted(a, imag_tol: float = 1e-8) -> np.ndarray:
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus."""
     return float(np.max(np.abs(eigenvalues_general(a))))
-
-
-def _nonempty(a: np.ndarray) -> np.ndarray:
-    if a.size == 0:
-        raise ValueError(f"expected a nonempty matrix, got the empty matrix of shape {a.shape}")
-    return a
 
 
 def _collatz_wielandt(step, n: int) -> float | None:

@@ -156,7 +156,6 @@ def hull_hbrnk(sys: IntervalLinearSystem) -> HullResult:
     if not h.is_yes:
         raise PreconditionViolated("matrix is not an H-matrix")
     A, b = sys.A, sys.b
-    n = sys.n
     C = h.certificate["comparison_matrix"]
     M = kernel.inverse(C)
     mag_b = magnitude(b.lo, b.hi)
@@ -164,16 +163,14 @@ def hull_hbrnk(sys: IntervalLinearSystem) -> HullResult:
     d = np.diag(M)
     alpha = np.diag(C) - 1.0 / d
     beta = u / d - mag_b
-    x_lo = np.empty(n)
-    x_hi = np.empty(n)
-    for i in range(n):
-        num_lo, num_hi = b.lo[i] - beta[i], b.hi[i] + beta[i]
-        den_lo, den_hi = A.lo[i, i] - alpha[i], A.hi[i, i] + alpha[i]
-        if not (den_lo > 0 or den_hi < 0):
-            raise PivotContainsZero(
-                f"hbrnk denominator [{den_lo:.3e}, {den_hi:.3e}] of component {i} "
-                "contains zero; the H-matrix certificate does not hold numerically")
-        x_lo[i], x_hi[i] = idiv(num_lo, num_hi, den_lo, den_hi)
+    den_lo, den_hi = np.diag(A.lo) - alpha, np.diag(A.hi) + alpha
+    straddles = ~((den_lo > 0) | (den_hi < 0))
+    if straddles.any():
+        i = int(np.argmax(straddles))
+        raise PivotContainsZero(
+            f"hbrnk denominator [{den_lo[i]:.3e}, {den_hi[i]:.3e}] of component {i} "
+            "contains zero; the H-matrix certificate does not hold numerically")
+    x_lo, x_hi = idiv(b.lo - beta, b.hi + beta, den_lo, den_hi)
     mid = A.mid
     offdiag_mid = mid - np.diag(np.diag(mid))
     diagonal_midpoint = bool(np.max(np.abs(offdiag_mid), initial=0.0)
@@ -185,29 +182,28 @@ def hull_hbrnk(sys: IntervalLinearSystem) -> HullResult:
 
 
 def _eliminate(A: IntervalMatrix, b: IntervalVector | None):
-    """Interval forward elimination in natural order (no pivoting)."""
+    """Interval forward elimination in natural order (no pivoting).
+
+    Pivot step k updates the whole trailing block and rhs at once (an outer
+    product of the multiplier column and pivot row), so every entry sees the
+    same operations in the same order as the entrywise recurrence.
+    """
     n = A.rows
     u_lo, u_hi = A.lo.copy(), A.hi.copy()
     l_lo, l_hi = np.eye(n), np.eye(n)
-    if b is not None:
-        b_lo, b_hi = b.lo.copy(), b.hi.copy()
-    else:
-        b_lo = b_hi = None
-    for k in range(n - 1):
+    b_lo, b_hi = (None, None) if b is None else (b.lo.copy(), b.hi.copy())
+    for k in range(n):
         if u_lo[k, k] <= 0.0 <= u_hi[k, k]:
             raise PivotContainsZero(f"pivot {k} contains zero")
-        for i in range(k + 1, n):
-            m_lo, m_hi = idiv(u_lo[i, k], u_hi[i, k], u_lo[k, k], u_hi[k, k])
-            l_lo[i, k], l_hi[i, k] = m_lo, m_hi
-            for j in range(k + 1, n):
-                p_lo, p_hi = imul(m_lo, m_hi, u_lo[k, j], u_hi[k, j])
-                u_lo[i, j], u_hi[i, j] = isub(u_lo[i, j], u_hi[i, j], p_lo, p_hi)
-            u_lo[i, k] = u_hi[i, k] = 0.0
-            if b_lo is not None:
-                p_lo, p_hi = imul(m_lo, m_hi, b_lo[k], b_hi[k])
-                b_lo[i], b_hi[i] = isub(b_lo[i], b_hi[i], p_lo, p_hi)
-    if u_lo[n - 1, n - 1] <= 0.0 <= u_hi[n - 1, n - 1]:
-        raise PivotContainsZero(f"pivot {n - 1} contains zero")
+        m_lo, m_hi = idiv(u_lo[k + 1:, k], u_hi[k + 1:, k], u_lo[k, k], u_hi[k, k])
+        l_lo[k + 1:, k], l_hi[k + 1:, k] = m_lo, m_hi
+        p_lo, p_hi = imul(m_lo[:, None], m_hi[:, None], u_lo[k, k + 1:], u_hi[k, k + 1:])
+        u_lo[k + 1:, k + 1:], u_hi[k + 1:, k + 1:] = isub(
+            u_lo[k + 1:, k + 1:], u_hi[k + 1:, k + 1:], p_lo, p_hi)
+        u_lo[k + 1:, k] = u_hi[k + 1:, k] = 0.0
+        if b_lo is not None:
+            p_lo, p_hi = imul(m_lo, m_hi, b_lo[k], b_hi[k])
+            b_lo[k + 1:], b_hi[k + 1:] = isub(b_lo[k + 1:], b_hi[k + 1:], p_lo, p_hi)
     return (l_lo, l_hi), (u_lo, u_hi), (b_lo, b_hi)
 
 
@@ -226,10 +222,10 @@ def interval_gauss_elim(sys: IntervalLinearSystem) -> HullResult:
     x_lo = np.empty(n)
     x_hi = np.empty(n)
     for i in range(n - 1, -1, -1):
-        acc_lo, acc_hi = b_lo[i], b_hi[i]
-        for j in range(i + 1, n):
-            p_lo, p_hi = imul(u_lo[i, j], u_hi[i, j], x_lo[j], x_hi[j])
-            acc_lo, acc_hi = isub(acc_lo, acc_hi, p_lo, p_hi)
+        p_lo, p_hi = imul(u_lo[i, i + 1:], u_hi[i, i + 1:], x_lo[i + 1:], x_hi[i + 1:])
+        # b_i - p_{i+1} - p_{i+2} - ..., subtracted in ascending j order
+        acc_lo = np.subtract.reduce(np.concatenate(([b_lo[i]], p_hi)))
+        acc_hi = np.subtract.reduce(np.concatenate(([b_hi[i]], p_lo)))
         x_lo[i], x_hi[i] = idiv(acc_lo, acc_hi, u_lo[i, i], u_hi[i, i])
     exact = (classify.is_m_matrix_interval(sys.A).is_yes
              and _rhs_sign_case(sys.b) is not None)

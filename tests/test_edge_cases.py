@@ -341,3 +341,24 @@ def test_classify_all_on_a_non_square_box_raises_the_m_test_error():
     A = IntervalMatrix(np.zeros((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValueError, match="M-matrix test requires a square matrix"):
         classify.classify_all(A)
+
+
+_EMPTY = IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
+_EMPTY_SYSTEM = IntervalLinearSystem(_EMPTY, IntervalVector(np.zeros(0), np.zeros(0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ranges.det_range(_EMPTY),
+    lambda: ranges.sigma_min_range(_EMPTY),
+    lambda: ranges.inverse_bounds(_EMPTY),
+    lambda: ranges.rr_range(_EMPTY),
+    lambda: classify.classify_all(_EMPTY),
+    lambda: linsolve.solve_hull(_EMPTY_SYSTEM),
+    lambda: linsolve.interval_gauss_elim(_EMPTY_SYSTEM),
+    lambda: linsolve.interval_lu(_EMPTY),
+    lambda: linsolve.hull_hbrnk(_EMPTY_SYSTEM),
+], ids=["det_range", "sigma_min_range", "inverse_bounds", "rr_range", "classify_all",
+        "solve_hull", "interval_gauss_elim", "interval_lu", "hull_hbrnk"])
+def test_empty_matrix_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="empty matrix"):
+        call()

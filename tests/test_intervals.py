@@ -15,7 +15,12 @@ from ivmat.intervals import (
     checkerboard_rhs,
     checkerboard_vertices,
     comparison_matrix,
+    idiv,
     imatmul,
+    imul,
+    isub,
+    magnitude,
+    mignitude,
     sign_flip_at,
     vertex_chunks,
 )
@@ -27,7 +32,28 @@ def _vertices(A, cap_evals=1 << 20):
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def _inside(x, lo, hi):
+    # rounding slack for finite x; an overflowed x must meet an overflowed bound
+    slack = np.where(np.isfinite(x), 1e-12 * np.maximum(1.0, np.abs(x)), 0.0)
+    return bool(np.all((lo - slack <= x) & (x <= hi + slack)))
+
+
+# Arrays of up to 8 intervals given as (lo, width, u) triples: u in [0, 1]
+# picks the member lo + u * width.
+triples = st.lists(st.tuples(finite, st.floats(min_value=0, max_value=1e6),
+                             st.floats(min_value=0, max_value=1)),
+                   min_size=1, max_size=8)
+
+
+def _unpack(cells):
+    lo = np.array([c[0] for c in cells])
+    hi = lo + np.array([c[1] for c in cells])
+    return lo, hi, lo + np.array([c[2] for c in cells]) * (hi - lo)
+
+
 class TestInterval:
+    """The validated ``Interval`` record and the array interval arithmetic."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
@@ -43,38 +69,62 @@ class TestInterval:
         (0.0, 0.0, 0.0, 0.0),
     ])
     def test_mignitude_magnitude(self, lo, hi, mig, mag):
-        iv = Interval(lo, hi)
-        assert iv.mignitude() == mig
-        assert iv.magnitude() == mag
+        lo, hi = np.full(3, lo), np.full(3, hi)
+        assert np.array_equal(mignitude(lo, hi), np.full(3, mig))
+        assert np.array_equal(magnitude(lo, hi), np.full(3, mag))
 
-    @given(lo=finite, width=st.floats(min_value=0, max_value=1e6),
-           u=st.floats(min_value=0, max_value=1))
+    @given(cells=triples)
     @settings(max_examples=200)
-    def test_mignitude_magnitude_bound_members(self, lo, width, u):
-        iv = Interval(lo, lo + width)
-        x = lo + u * width
-        assert iv.mignitude() <= abs(x) + 1e-9 * max(1.0, abs(x))
-        assert abs(x) <= iv.magnitude() + 1e-9 * max(1.0, abs(x))
+    def test_mignitude_magnitude_bound_members(self, cells):
+        lo, hi, x = _unpack(cells)
+        slack = 1e-9 * np.maximum(1.0, np.abs(x))
+        assert np.all(mignitude(lo, hi) <= np.abs(x) + slack)
+        assert np.all(np.abs(x) <= magnitude(lo, hi) + slack)
 
     def test_arithmetic_contains_pointwise(self):
-        a = Interval(-1.0, 2.0)
-        b = Interval(0.5, 3.0)
-        for x in np.linspace(a.lo, a.hi, 7):
-            for y in np.linspace(b.lo, b.hi, 7):
-                assert (a + b).contains(x + y, tol=1e-12)
-                assert (a - b).contains(x - y, tol=1e-12)
-                assert (a * b).contains(x * y, tol=1e-12)
-                assert (a / b).contains(x / y, tol=1e-12)
+        x, y = np.meshgrid(np.linspace(-1.0, 2.0, 7), np.linspace(0.5, 3.0, 7))
+        a = (np.full(x.shape, -1.0), np.full(x.shape, 2.0))
+        b = (np.full(y.shape, 0.5), np.full(y.shape, 3.0))
+        assert _inside(x + y, *isub(*a, -b[1], -b[0]))  # a + b is a - (-b)
+        assert _inside(x - y, *isub(*a, *b))
+        assert _inside(x * y, *imul(*a, *b))
+        assert _inside(x / y, *idiv(*a, *b))
+
+    @given(a=triples, b=triples)
+    @settings(max_examples=200)
+    def test_results_contain_pointwise_results(self, a, b):
+        size = min(len(a), len(b))
+        alo, ahi, x = (v[:size] for v in _unpack(a))
+        blo, bhi, y = (v[:size] for v in _unpack(b))
+        assert _inside(x + y, *isub(alo, ahi, -bhi, -blo))
+        assert _inside(x - y, *isub(alo, ahi, blo, bhi))
+        assert _inside(x * y, *imul(alo, ahi, blo, bhi))
+        away = (blo > 0) | (bhi < 0)
+        if not away.any():
+            return
+        alo, ahi, x, blo, bhi, y = (v[away] for v in (alo, ahi, x, blo, bhi, y))
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(1.0 / mignitude(blo, bhi))):
+                with pytest.raises(ZeroDivisionError):
+                    idiv(alo, ahi, blo, bhi)
+            else:
+                assert _inside(x / y, *idiv(alo, ahi, blo, bhi))
 
     def test_division_by_zero_interval(self):
+        lo, hi = np.array([1.0, 1.0]), np.array([2.0, 2.0])
         with pytest.raises(ZeroDivisionError):
-            Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+            idiv(lo, hi, np.array([1.0, -1.0]), np.array([2.0, 1.0]))
+        with pytest.raises(ZeroDivisionError):
+            idiv(lo, hi, np.array([1.0, 0.0]), np.array([2.0, 0.5]))
+        with pytest.raises(ZeroDivisionError, match="overflows"):
+            idiv(np.zeros(1), np.zeros(1), np.array([5e-324]), np.array([5e-324]))
 
-    def test_reflected_operators(self):
-        a = Interval(1.0, 2.0)
-        assert (3.0 - a) == Interval(1.0, 2.0)
-        assert (3.0 + a) == Interval(4.0, 5.0)
-        assert (2.0 * a) == Interval(2.0, 4.0)
+    def test_point_operand_table(self):
+        lo, hi = np.array([1.0, -2.0]), np.array([2.0, 3.0])
+        assert np.array_equal(isub(3.0, 3.0, lo, hi), [[1.0, 0.0], [2.0, 5.0]])
+        assert np.array_equal(isub(lo, hi, -3.0, -3.0), [[4.0, 1.0], [5.0, 6.0]])
+        assert np.array_equal(imul(2.0, 2.0, lo, hi), [[2.0, -4.0], [4.0, 6.0]])
+        assert np.array_equal(imul(-1.0, -1.0, lo, hi), [[-2.0, -3.0], [-1.0, 2.0]])
 
 
 class TestIntervalMatrix:

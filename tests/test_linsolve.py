@@ -14,7 +14,7 @@ from conftest import (
 from ivmat import classify, kernel, linsolve, oracle
 from ivmat.cli import main
 from ivmat.errors import NoApplicableCase, PivotContainsZero, PreconditionViolated
-from ivmat.intervals import IntervalMatrix, IntervalVector, imatmul
+from ivmat.intervals import IntervalMatrix, IntervalVector, idiv, imatmul, imul, isub
 from ivmat.linsolve import (
     ENCLOSURE,
     EXACT,
@@ -234,6 +234,83 @@ class TestIntervalLu:
             assert np.allclose(np.diag(L.lo), 1.0) and np.allclose(np.diag(L.hi), 1.0)
             product = imatmul(L, U)
             assert product.contains_matrix(A, tol=1e-9)
+
+
+def _reference_elimination(A, b):
+    """Entrywise interval elimination and back-substitution, one scalar
+    operation at a time: the oracle for the whole-array versions."""
+    n = A.rows
+    u_lo, u_hi = A.lo.copy(), A.hi.copy()
+    l_lo, l_hi = np.eye(n), np.eye(n)
+    b_lo, b_hi = b.lo.copy(), b.hi.copy()
+    for k in range(n):
+        if u_lo[k, k] <= 0.0 <= u_hi[k, k]:
+            raise PivotContainsZero(f"pivot {k} contains zero")
+        for i in range(k + 1, n):
+            m = idiv(u_lo[i, k], u_hi[i, k], u_lo[k, k], u_hi[k, k])
+            l_lo[i, k], l_hi[i, k] = m
+            for j in range(k + 1, n):
+                u_lo[i, j], u_hi[i, j] = isub(u_lo[i, j], u_hi[i, j],
+                                              *imul(*m, u_lo[k, j], u_hi[k, j]))
+            u_lo[i, k] = u_hi[i, k] = 0.0
+            b_lo[i], b_hi[i] = isub(b_lo[i], b_hi[i], *imul(*m, b_lo[k], b_hi[k]))
+    x_lo, x_hi = np.empty(n), np.empty(n)
+    for i in range(n - 1, -1, -1):
+        acc = b_lo[i], b_hi[i]
+        for j in range(i + 1, n):
+            acc = isub(*acc, *imul(u_lo[i, j], u_hi[i, j], x_lo[j], x_hi[j]))
+        x_lo[i], x_hi[i] = idiv(*acc, u_lo[i, i], u_hi[i, i])
+    return (l_lo, l_hi), (u_lo, u_hi), (b_lo, b_hi), (x_lo, x_hi)
+
+
+def _reference_matmul(A, B):
+    lo, hi = np.zeros((A.rows, B.cols)), np.zeros((A.rows, B.cols))
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc_lo, acc_hi = 0.0, 0.0
+            for k in range(A.cols):
+                p_lo, p_hi = imul(A.lo[i, k], A.hi[i, k], B.lo[k, j], B.hi[k, j])
+                acc_lo += p_lo
+                acc_hi += p_hi
+            lo[i, j], hi[i, j] = acc_lo, acc_hi
+    return lo, hi
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestArrayCoreMatchesEntrywiseLoops:
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_bit_identical_on_seeded_h_systems(self, n):
+        rng = np.random.default_rng(880 + n)
+        A = make_h_instance(rng, n)
+        b = make_rhs(rng, n, "mixed")
+        rl, ru, rb, rx = _reference_elimination(A, b)
+        (l_lo, l_hi), (u_lo, u_hi), (b_lo, b_hi) = linsolve._eliminate(A, b)
+        for got, want in zip((l_lo, l_hi, u_lo, u_hi, b_lo, b_hi), rl + ru + rb):
+            assert _same_bits(got, want)
+        x = interval_gauss_elim(IntervalLinearSystem(A, b)).hull
+        assert _same_bits(x.lo, rx[0]) and _same_bits(x.hi, rx[1])
+        L, U = interval_lu(A)
+        for got, want in zip((L.lo, L.hi, U.lo, U.hi), rl + ru):
+            assert _same_bits(got, want)
+        product = imatmul(L, U)
+        want_lo, want_hi = _reference_matmul(L, U)
+        assert _same_bits(product.lo, want_lo) and _same_bits(product.hi, want_hi)
+
+    @pytest.mark.parametrize("lo,hi,k", [
+        ([[-1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 0),
+        ([[1.0, 1.0], [1.0, 0.5]], [[1.0, 1.0], [1.0, 1.5]], 1),
+        ([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [2.0, 1.0, 1.5]],
+         [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [2.0, 1.0, 3.5]], 2),
+    ])
+    def test_pivot_containing_zero_is_named_alike(self, lo, hi, k):
+        A = IntervalMatrix(lo, hi)
+        b = IntervalVector.point(np.ones(A.rows))
+        for eliminate in (linsolve._eliminate, _reference_elimination):
+            with pytest.raises(PivotContainsZero, match=f"pivot {k} contains zero"):
+                eliminate(A, b)
 
 
 class TestInverseMHull:
