@@ -544,6 +544,8 @@ def is_p_matrix_special(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> Clas
 
 
 def _symmetric(A) -> SymmetricIntervalMatrix:
+    # an asymmetric box is a refused precondition, an empty one invalid input
+    kernel._nonempty(A.lo)
     try:
         return as_symmetric(A)
     except ValueError as exc:

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CapExceeded
 
 DEFAULT_CAP = 1 << 20  # max realizations an enumeration evaluates
+SYMMETRY_RTOL = 1e-12  # asymmetry allowed, relative to the matrix scale
 _CHUNK = 1 << 14
 
 
@@ -250,13 +251,15 @@ class SymmetricIntervalMatrix:
 
     __slots__ = ("_base",)
 
-    def __init__(self, base: IntervalMatrix, tol: float = 1e-12):
+    def __init__(self, base: IntervalMatrix):
         if not base.is_square:
             raise ValueError("symmetric interval matrix must be square")
+        if base.rows == 0:
+            raise ValueError("expected a nonempty matrix, got the empty matrix of shape (0, 0)")
         scale = max(1.0, float(np.max(np.abs(base.mid))), float(np.max(base.rad)))
-        if np.max(np.abs(base.mid - base.mid.T)) > tol * scale:
+        if np.max(np.abs(base.mid - base.mid.T)) > SYMMETRY_RTOL * scale:
             raise ValueError("midpoint is not symmetric")
-        if np.max(np.abs(base.rad - base.rad.T)) > tol * scale:
+        if np.max(np.abs(base.rad - base.rad.T)) > SYMMETRY_RTOL * scale:
             raise ValueError("radius is not symmetric")
         self._base = base
 

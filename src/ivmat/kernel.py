@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleLimit, NonConvergence, NotSymmetric, SingularMatrix
-from .intervals import DEFAULT_CAP, vertex_chunks
+from .intervals import DEFAULT_CAP, SYMMETRY_RTOL, vertex_chunks
 
 PIVOT_RTOL = 1e-12
+_IMAG_RTOL = 1e-8  # imaginary parts up to this, relative, count as rounding
 # Size from which the Perron-root bracket beats the LAPACK eigensolve/SVD
 _PERRON_MIN_N = 32
 _PERRON_STEPS = 100
@@ -97,10 +98,10 @@ def solve(a, b) -> np.ndarray:
     return _lu_solve(a, np.asarray(b, dtype=float))
 
 
-def _check_symmetric(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = _as_square(a)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > tol * scale:
+    if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return a
 
@@ -132,15 +133,15 @@ def eigenvalues_general(a) -> np.ndarray:
         raise NonConvergence(str(exc)) from exc
 
 
-def real_eigenvalues_sorted(a, imag_tol: float = 1e-8) -> np.ndarray:
+def real_eigenvalues_sorted(a) -> np.ndarray:
     """Eigenvalues of a matrix known to have a real spectrum, descending.
 
-    Raises NonConvergence if an imaginary part exceeds ``imag_tol`` relative
+    Raises NonConvergence if an imaginary part exceeds ``_IMAG_RTOL`` relative
     to the matrix scale.
     """
     vals = eigenvalues_general(a)
     scale = max(1.0, inf_norm(a))
-    if np.max(np.abs(vals.imag)) > imag_tol * scale:
+    if np.max(np.abs(vals.imag)) > _IMAG_RTOL * scale:
         raise NonConvergence("matrix does not have a (numerically) real spectrum")
     return np.sort(vals.real)[::-1].copy()
 

@@ -137,8 +137,8 @@ def range_sampling(f, A: IntervalMatrix | SymmetricIntervalMatrix,
     return Interval(lo, hi)
 
 
-def minors_positive(a: np.ndarray, tol: float = 0.0) -> tuple[bool, bool]:
-    """Exhaustive minor checks: (all minors > tol, all principal minors > tol).
+def minors_positive(a: np.ndarray) -> tuple[bool, bool]:
+    """Exhaustive minor checks: (all minors > 0, all principal minors > 0).
 
     Limited to n <= 6; the number of square submatrices grows as 4^n.
     """
@@ -155,7 +155,7 @@ def minors_positive(a: np.ndarray, tol: float = 0.0) -> tuple[bool, bool]:
         for rows in itertools.combinations(idx, k):
             for cols in itertools.combinations(idx, k):
                 minor = float(np.linalg.det(a[np.ix_(rows, cols)]))
-                if minor <= tol:
+                if minor <= 0.0:
                     all_pos = False
                     if rows == cols:
                         principal_pos = False

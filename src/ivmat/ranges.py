@@ -31,6 +31,9 @@ from .intervals import (
     vertex_chunks,
 )
 
+# an eigenvector entry below this, relative to the largest, has no sign
+_EIGVEC_ENTRY_RTOL = 1e-10
+
 
 @dataclass
 class RangeResult:
@@ -204,8 +207,7 @@ def lambda_min_range_inverse_nonneg(A) -> RangeResult:
                        {"min": S.lo.copy(), "max": S.hi.copy()})
 
 
-def eig_ranges_totally_positive(A: IntervalMatrix,
-                                entry_tol: float = 1e-10) -> list[RangeResult]:
+def eig_ranges_totally_positive(A: IntervalMatrix) -> list[RangeResult]:
     """All eigenvalue ranges of a totally positive interval matrix.
 
     The extreme indices come from the endpoint/checkerboard matrices; a
@@ -244,8 +246,8 @@ def eig_ranges_totally_positive(A: IntervalMatrix,
             y = left_vecs[:, left_order[i]].real
             scale_x = float(np.max(np.abs(x)))
             scale_y = float(np.max(np.abs(y)))
-            if (np.min(np.abs(x)) < entry_tol * scale_x
-                    or np.min(np.abs(y)) < entry_tol * scale_y):
+            if (np.min(np.abs(x)) < _EIGVEC_ENTRY_RTOL * scale_x
+                    or np.min(np.abs(y)) < _EIGVEC_ENTRY_RTOL * scale_y):
                 raise EigenvectorSignAmbiguity(
                     f"midpoint eigenvector for index {i + 1} has an entry "
                     "too close to zero to sign")
@@ -416,150 +418,61 @@ def power_hull(A: IntervalMatrix, k: int) -> IntervalMatrix:
                           np.linalg.matrix_power(A.hi, int(k)))
 
 
-def _cube_entry(base: np.ndarray, diag_vals: np.ndarray, i: int, j: int) -> float:
-    M = base.copy()
-    np.fill_diagonal(M, diag_vals)
-    return float(np.linalg.matrix_power(M, 3)[i, j])
-
-
-def _quadratic_candidates(q20, q02, q11, q10, q01, ubox, vbox):
-    """Stationary candidates of a bivariate quadratic on a rectangle."""
-    cands = []
-    tiny = 1e-13 * max(1.0, abs(q20), abs(q02), abs(q11), abs(q10), abs(q01))
-    # interior stationary point
-    det_h = 4.0 * q20 * q02 - q11 * q11
-    if abs(det_h) > tiny:
-        u = (-2.0 * q02 * q10 + q11 * q01) / det_h
-        v = (-2.0 * q20 * q01 + q11 * q10) / det_h
-        if ubox[0] <= u <= ubox[1] and vbox[0] <= v <= vbox[1]:
-            cands.append((u, v))
-    # edge critical points: fix one variable at an endpoint
-    for u_fix in ubox:
-        if abs(q02) > tiny:
-            v = -(q01 + q11 * u_fix) / (2.0 * q02)
-            if vbox[0] <= v <= vbox[1]:
-                cands.append((u_fix, v))
-    for v_fix in vbox:
-        if abs(q20) > tiny:
-            u = -(q10 + q11 * v_fix) / (2.0 * q20)
-            if ubox[0] <= u <= ubox[1]:
-                cands.append((u, v_fix))
-    for u_fix in ubox:
-        for v_fix in vbox:
-            cands.append((u_fix, v_fix))
-    return cands
-
-
 def cube_hull_diag_interval(A: IntervalMatrix) -> IntervalMatrix:
     """Entrywise exact hull of third powers of a diagonally interval matrix.
 
-    Each entry of the cube is linear in every diagonal variable except the
-    two indexing it, so those are fixed at the endpoint given by their
-    coefficient sign; the residual bivariate quadratic (univariate cubic on
-    the diagonal) is optimized over its rectangle through closed-form
-    stationary candidates, no iteration.
+    A member is B + D with B the midpoint, its diagonal zeroed, and
+    D = diag(d), d_i in [lo_ii, hi_ii]. Expanding (B + D)^3, entry (i, j) is
+
+        (B^3)_ij + (B D B)_ij + (B^2)_ij (d_i + d_j) + B_ij (d_i^2 + d_i d_j + d_j^2)
+
+    for i != j, and (B^3)_ii + (B D B)_ii + 2 (B^2)_ii d_i + d_i^3 on the
+    diagonal. (B D B)_ij is linear in the d_m with m not in {i, j}, so its
+    extremes, B diag(d_mid) B -/+ |B| diag(d_rad) |B|, add to those of the
+    residual quadratic in (d_i, d_j) (cubic in d_i on the diagonal). The
+    residual is extremised over its closed-form candidates for all entries
+    at once: the four corners, the four edge stationary points and the
+    interior point d_i = d_j = -(B^2)_ij / (3 B_ij) off the diagonal; the
+    two endpoints and +/-sqrt(-2 (B^2)_ii / 3) on it. A few n x n matmuls,
+    so O(n^3).
     """
+    if not A.is_square:
+        raise ValueError("cube hull requires a square matrix")
     if not classify.is_diagonally_interval(A):
         raise PreconditionViolated("radius is not diagonal")
-    n = A.rows
-    base = A.mid
-    diag_lo = np.diag(A.lo).copy()
-    diag_hi = np.diag(A.hi).copy()
-    diag_mid = 0.5 * (diag_lo + diag_hi)
-    out_lo = np.empty((n, n))
-    out_hi = np.empty((n, n))
+    B = A.mid
+    np.fill_diagonal(B, 0.0)
+    lo, hi = np.diag(A.lo), np.diag(A.hi)
+    B2 = B @ B
+    center = B2 @ B + (B * (0.5 * (lo + hi))) @ B
+    spread = (np.abs(B) * (0.5 * (hi - lo))) @ np.abs(B)
 
-    for i in range(n):
-        for j in range(n):
-            others = [m for m in range(n) if m != i and m != j]
-            gamma = np.array([base[i, m] * base[m, j] for m in others])
-            for mode in ("min", "max"):
-                diag_fixed = diag_mid.copy()
-                for g, m in zip(gamma, others):
-                    if mode == "max":
-                        diag_fixed[m] = diag_hi[m] if g > 0 else diag_lo[m]
-                    else:
-                        diag_fixed[m] = diag_lo[m] if g > 0 else diag_hi[m]
-                if i == j:
-                    val = _cube_diag_extreme(base, diag_fixed, diag_lo, diag_hi,
-                                             i, mode)
-                    if mode == "min":
-                        out_lo[i, j] = val
-                    else:
-                        out_hi[i, j] = val
-                else:
-                    val = _cube_offdiag_extreme(base, diag_fixed, diag_lo,
-                                                diag_hi, i, j, mode)
-                    if mode == "min":
-                        out_lo[i, j] = val
-                    else:
-                        out_hi[i, j] = val
-    return IntervalMatrix(out_lo, out_hi)
+    u_lo, u_hi, v_lo, v_hi = lo[:, None], hi[:, None], lo[None, :], hi[None, :]
+    r_min = np.full(B.shape, np.inf)
+    r_max = np.full(B.shape, -np.inf)
 
+    def take(u, v):
+        """Fold in the residual at candidate (d_i, d_j) = (u, v) where the box holds it."""
+        inside = (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi)
+        r = B2 * (u + v) + B * (u * u + u * v + v * v)
+        np.minimum(r_min, np.where(inside, r, np.inf), out=r_min)
+        np.maximum(r_max, np.where(inside, r, -np.inf), out=r_max)
 
-def _cube_diag_extreme(base, diag_fixed, diag_lo, diag_hi, i, mode) -> float:
-    """Extreme of the (i, i) cube entry: a univariate cubic in the i-th
-    diagonal variable, optimized via its derivative roots."""
-    c = 0.5 * (diag_lo[i] + diag_hi[i])
-    h = max(diag_hi[i] - diag_lo[i], 1.0)
+    # B_ij = 0 or (B^2)_ii > 0 gives inf or nan candidates, which no box holds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for u in (u_lo, u_hi):
+            for v in (v_lo, v_hi):
+                take(u, v)
+            take(u, -(B2 + B * u) / (2.0 * B))
+        for v in (v_lo, v_hi):
+            take(-(B2 + B * v) / (2.0 * B), v)
+        w = -B2 / (3.0 * B)
+        take(w, w)
 
-    def f(u: float) -> float:
-        d = diag_fixed.copy()
-        d[i] = c + h * u
-        return _cube_entry(base, d, i, i)
-
-    f0, f1, fm1, f2 = f(0.0), f(1.0), f(-1.0), f(2.0)
-    # cubic a u^3 + b u^2 + cc u + d0 through the four samples
-    d0 = f0
-    b = 0.5 * (f1 + fm1) - d0
-    a = (f2 - 4.0 * b - d0 - (f1 - fm1)) / 6.0
-    cc = 0.5 * (f1 - fm1) - a
-
-    u_lo = (diag_lo[i] - c) / h
-    u_hi = (diag_hi[i] - c) / h
-    cands = [u_lo, u_hi]
-    tiny = 1e-13 * max(1.0, abs(a), abs(b), abs(cc))
-    if abs(a) > tiny:
-        disc = 4.0 * b * b - 12.0 * a * cc
-        if disc >= 0:
-            root = np.sqrt(disc)
-            for u in ((-2.0 * b + root) / (6.0 * a), (-2.0 * b - root) / (6.0 * a)):
-                if u_lo <= u <= u_hi:
-                    cands.append(float(u))
-    elif abs(b) > tiny:
-        u = -cc / (2.0 * b)
-        if u_lo <= u <= u_hi:
-            cands.append(float(u))
-    vals = [f(u) for u in cands]
-    return min(vals) if mode == "min" else max(vals)
-
-
-def _cube_offdiag_extreme(base, diag_fixed, diag_lo, diag_hi, i, j, mode) -> float:
-    """Extreme of the (i, j) cube entry, i != j: a bivariate quadratic in the
-    two indexing diagonal variables, optimized on its rectangle."""
-    ci = 0.5 * (diag_lo[i] + diag_hi[i])
-    cj = 0.5 * (diag_lo[j] + diag_hi[j])
-    hi_step = max(diag_hi[i] - diag_lo[i], 1.0)
-    hj_step = max(diag_hi[j] - diag_lo[j], 1.0)
-
-    def f(u: float, v: float) -> float:
-        d = diag_fixed.copy()
-        d[i] = ci + hi_step * u
-        d[j] = cj + hj_step * v
-        return _cube_entry(base, d, i, j)
-
-    f00 = f(0.0, 0.0)
-    fp0, fm0 = f(1.0, 0.0), f(-1.0, 0.0)
-    f0p, f0m = f(0.0, 1.0), f(0.0, -1.0)
-    fpp = f(1.0, 1.0)
-    q10 = 0.5 * (fp0 - fm0)
-    q20 = 0.5 * (fp0 + fm0) - f00
-    q01 = 0.5 * (f0p - f0m)
-    q02 = 0.5 * (f0p + f0m) - f00
-    q11 = fpp - f00 - q10 - q01 - q20 - q02
-
-    ubox = ((diag_lo[i] - ci) / hi_step, (diag_hi[i] - ci) / hi_step)
-    vbox = ((diag_lo[j] - cj) / hj_step, (diag_hi[j] - cj) / hj_step)
-    cands = _quadratic_candidates(q20, q02, q11, q10, q01, ubox, vbox)
-    vals = [f(u, v) for u, v in cands]
-    return min(vals) if mode == "min" else max(vals)
+        c = np.diag(B2)
+        root = np.sqrt(-2.0 * c / 3.0)
+        d = np.stack([lo, hi, root, -root])
+        vals = np.where((lo <= d) & (d <= hi), d * d * d + 2.0 * c * d, np.nan)
+    idx = np.diag_indices_from(B)
+    r_min[idx], r_max[idx] = np.nanmin(vals, axis=0), np.nanmax(vals, axis=0)
+    return IntervalMatrix(center - spread + r_min, center + spread + r_max)

@@ -352,13 +352,14 @@ _EMPTY_SYSTEM = IntervalLinearSystem(_EMPTY, IntervalVector(np.zeros(0), np.zero
     lambda: ranges.sigma_min_range(_EMPTY),
     lambda: ranges.inverse_bounds(_EMPTY),
     lambda: ranges.rr_range(_EMPTY),
+    lambda: ranges.eig_ranges(_EMPTY),
     lambda: classify.classify_all(_EMPTY),
     lambda: linsolve.solve_hull(_EMPTY_SYSTEM),
     lambda: linsolve.interval_gauss_elim(_EMPTY_SYSTEM),
     lambda: linsolve.interval_lu(_EMPTY),
     lambda: linsolve.hull_hbrnk(_EMPTY_SYSTEM),
-], ids=["det_range", "sigma_min_range", "inverse_bounds", "rr_range", "classify_all",
-        "solve_hull", "interval_gauss_elim", "interval_lu", "hull_hbrnk"])
+], ids=["det_range", "sigma_min_range", "inverse_bounds", "rr_range", "eig_ranges",
+        "classify_all", "solve_hull", "interval_gauss_elim", "interval_lu", "hull_hbrnk"])
 def test_empty_matrix_is_refused_by_name(call):
     with pytest.raises(ValueError, match="empty matrix"):
         call()

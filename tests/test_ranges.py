@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     make_diag_psd_instance,
@@ -498,6 +501,29 @@ class TestPowerHull:
                 assert hull.contains_point(np.linalg.matrix_power(m, k), tol=1e-9)
 
 
+# entries on a 2^-10 floor or zero, so no cube of a box scaled by 2^k,
+# |k| <= 20, nears the subnormal range and every scaling is exact
+_cube_entry = st.floats(-8.0, 8.0, allow_nan=False).map(
+    lambda x: x if abs(x) >= 2.0 ** -10 else 0.0)
+
+
+def _cube_members(A: IntervalMatrix, count: int, rng) -> np.ndarray:
+    """Seeded members of a diagonally interval box, diagonals uniform."""
+    members = np.broadcast_to(A.mid, (count,) + A.shape).copy()
+    lo, hi = np.diag(A.lo), np.diag(A.hi)
+    idx = np.arange(A.rows)
+    members[:, idx, idx] = lo + (hi - lo) * rng.random((count, A.rows))
+    return members
+
+
+def _assert_cubes_inside(hull: IntervalMatrix, A: IntervalMatrix, cubes) -> None:
+    # rounding slack relative to |A|^3, the size of every term of the expansion
+    mag = np.maximum(np.abs(A.lo), np.abs(A.hi))
+    slack = 1e-12 * float(np.max(mag @ mag @ mag))
+    assert np.all(cubes >= hull.lo - slack)
+    assert np.all(cubes <= hull.hi + slack)
+
+
 class TestCubeHull:
     def test_running_example(self):
         A = IntervalMatrix([[-1, 1], [1, 0]], [[1, 1], [1, 0]])
@@ -551,6 +577,51 @@ class TestCubeHull:
                 reference = oracle.cube_range(A, oracle.OracleConfig(grid_step=1e-3))
                 assert np.allclose(hull.lo, reference.lo, atol=1e-6)
                 assert np.allclose(hull.hi, reference.hi, atol=1e-6)
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+               hnp.arrays(np.float64, (n, n), elements=_cube_entry),
+               hnp.arrays(np.float64, n, elements=_cube_entry.map(abs)))),
+           st.integers(-20, 20))
+    @example((np.array([[1.5]]), np.array([0.75])), 7)
+    @example((np.array([[0.5, -2.0], [3.0, 1.0]]), np.zeros(2)), -13)
+    @settings(max_examples=150, deadline=None)
+    def test_scaling_is_exact_and_members_are_inside(self, box, k):
+        mid, rad = box
+        A = IntervalMatrix(mid - np.diag(rad), mid + np.diag(rad))
+        hull = ranges.cube_hull_diag_interval(A)
+        scaled = ranges.cube_hull_diag_interval(
+            IntervalMatrix(np.ldexp(A.lo, k), np.ldexp(A.hi, k)))
+        assert np.array_equal(scaled.lo, np.ldexp(hull.lo, 3 * k))
+        assert np.array_equal(scaled.hi, np.ldexp(hull.hi, 3 * k))
+        members = _cube_members(A, 64, np.random.default_rng(0))
+        _assert_cubes_inside(hull, A, members @ members @ members)
+
+    def test_n8_three_varying_diagonals_against_grid(self):
+        rng = np.random.default_rng(53)
+        mid = rng.uniform(-1.0, 1.0, (8, 8))
+        rad = np.zeros((8, 8))
+        for v in rng.choice(8, size=3, replace=False):
+            rad[v, v] = rng.uniform(0.15, 0.25)
+        A = IntervalMatrix.from_midrad(mid, rad)
+        hull = ranges.cube_hull_diag_interval(A)
+        reference = oracle.cube_range(A, oracle.OracleConfig(grid_step=1e-2))
+        assert np.allclose(hull.lo, reference.lo, atol=1e-4)
+        assert np.allclose(hull.hi, reference.hi, atol=1e-4)
+        # the exact hull may only be wider than the inner grid approximation
+        assert np.all(hull.lo <= reference.lo + 1e-12)
+        assert np.all(hull.hi >= reference.hi - 1e-12)
+
+    def test_n200_members_are_inside(self):
+        rng = np.random.default_rng(200)
+        A = make_diag_psd_instance(rng, 200)
+        hull = ranges.cube_hull_diag_interval(A)
+        members = _cube_members(A, 64, rng)
+        _assert_cubes_inside(hull, A, members @ members @ members)
+
+    def test_rejects_non_square(self):
+        A = IntervalMatrix.point(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="cube hull requires a square matrix"):
+            ranges.cube_hull_diag_interval(A)
 
 
 class TestRangeInvariants:
