@@ -29,6 +29,7 @@ from .intervals import (
 )
 
 STRICT_RTOL = 1e-10
+_RESIDUAL_RTOL = 1e-12  # a decline's A x = e must re-check to this
 _STACK_BUDGET = 1 << 16  # matrix entries per stacked determinant call
 
 YES = "yes"
@@ -149,20 +150,60 @@ def is_h_matrix_interval(A: IntervalMatrix) -> ClassReport:
     })
 
 
+def _solves_ones(a: np.ndarray, x: np.ndarray) -> bool:
+    """Whether a @ x = e holds to rounding: each component within
+    _RESIDUAL_RTOL of e or of the magnitude of its terms, whichever is larger."""
+    residual = np.abs(a @ x - 1.0)
+    return bool(np.all(residual <= _RESIDUAL_RTOL * np.maximum(1.0, np.abs(a) @ np.abs(x))))
+
+
 def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
-    """Inverse nonnegativity test via the two endpoint matrices."""
+    """Inverse nonnegativity test via the two endpoint matrices.
+
+    A is inverse nonnegative exactly when both endpoints are. Each endpoint
+    is factored once. A decline is first sought from x = A^-1 e (e all ones),
+    an O(n^2) solve from the same factors: by Collatz's characterisation a
+    monotone A (A^-1 >= 0) has A x >= 0 => x >= 0, so a component
+    x_i < -4 n _tol(x) names a member, the endpoint, whose inverse is not
+    nonnegative. The probe declines only when its certificate re-checks,
+    witness @ x = e to within _RESIDUAL_RTOL. Otherwise the full inverse is
+    computed from the same factors and every entry checked against
+    -_tol(inverse), which decides the verdict exactly as before the probe
+    existed (same ``dgetrf``, same ``dgetrs``).
+
+    The probe never declines what the full check accepts. If every entry of
+    the computed inverse is >= -t, t = STRICT_RTOL max(1, max|inverse|),
+    every row sum is >= -n t. An entry is its row sum minus the other n - 1
+    entries, so max|inverse| <= max|row sums| + n t, whence
+    t < 2 STRICT_RTOL max(1, max|x|) for n STRICT_RTOL < 1/2 and the row
+    sums are > -2 n _tol(x). The factor 4 leaves the same again for the
+    rounding gap between x and the row sums of the computed inverse.
+    """
     if not A.is_square:
         raise ValueError("inverse nonnegativity test requires a square matrix")
+    n = A.rows
     endpoints = {"lower": A.lo, "upper": A.hi}
     inverses = {}
     for name, endpoint in endpoints.items():
         try:
-            inv = kernel.inverse(endpoint)
+            factors = kernel.lu_factor(endpoint)
         except SingularMatrix:
             return ClassReport("InverseNonnegative", NO, {
                 "reason": f"{name} endpoint is singular",
                 "witness": endpoint.copy(),
             })
+        x = kernel.lu_solve(factors, np.ones(n))
+        negative = x < -4 * n * _tol(x)
+        if negative.any() and _solves_ones(endpoint, x):
+            i = int(negative.argmax())
+            return ClassReport("InverseNonnegative", NO, {
+                "reason": f"{name} endpoint is not monotone: "
+                          "A x = e has a negative component",
+                "component": i,
+                "x": x,
+                "witness": endpoint.copy(),
+            })
+        inv = kernel.lu_solve(factors, np.eye(n))
         negative = inv < -_tol(inv)
         if negative.any():
             i, j = _first(negative)
@@ -192,6 +233,11 @@ def is_totally_positive_real(a) -> ClassReport:
     n = a.shape[0]
     tol = _tol(a)
     for k in range(1, n + 1):
+        # an entry above tol (1 + 1e-12) has a 1x1 determinant above tol, and
+        # one comparison shows it for every entry; the determinant of a 1x1
+        # matrix is not always the entry itself, so only a pass is decided here
+        if k == 1 and a.min() > tol * (1 + 1e-12):
+            continue
         # the 1x1 windows are the entries; sliding_window_view costs more to
         # set up than an early failure at k = 1 costs in all
         windows = a[:, :, None, None] if k == 1 else sliding_window_view(a, (k, k))

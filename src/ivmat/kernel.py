@@ -1,6 +1,6 @@
 """Dense real linear algebra primitives used by every theorem-backed routine.
 
-Factorizations are LAPACK-backed; ``solve`` and ``inverse`` call the LU
+Factorizations are LAPACK-backed; ``lu_factor`` and ``lu_solve`` call the LU
 routines ``dgetrf``/``dgetrs`` directly through ``scipy.linalg.lapack``.
 This module adds the package-wide notion of numerical singularity (pivot
 magnitude relative to the matrix inf-norm), the exponential
@@ -12,11 +12,16 @@ Spectral values are computed without vectors where no caller needs them:
 ``sigma_max_nonneg`` find rho(A) and sigma_max(A) of a nonnegative matrix
 (the Perron root of A and of A^T A) by a Collatz-Wielandt power-iteration
 bracket, O(n^2) per step, instead of a full nonsymmetric eigensolve or SVD.
-They agree with LAPACK to within a few ulps, not bit for bit. Below
-``_PERRON_MIN_N`` (32, where the bracket's per-step Python overhead stops
-costing more than the LAPACK call, measured at one BLAS thread), and
-whenever the bracket cannot run or does not converge, they return the LAPACK
-result unchanged.
+``sigma_min_from_inverse`` takes sigma_min(A) = 1 / sigma_max(A^-1) from the
+same bracket when the inverse is already known and nonnegative. They agree
+with LAPACK to within a few ulps, not bit for bit. Below ``_PERRON_MIN_N``
+(32, where the bracket's per-step Python overhead stops costing more than
+the LAPACK call, measured at one BLAS thread), and whenever the bracket
+cannot run or does not converge, they return the LAPACK result unchanged.
+
+``lu_factor`` and ``lu_solve`` are the two halves of ``solve`` and
+``inverse``, so a caller can solve several right-hand sides, or decide from a
+cheap one whether it needs the others, from one ``dgetrf``.
 
 SciPy is imported on first use: ``scipy.linalg`` on the first pivoted LU
 solve and ``scipy.optimize`` on the first LP. Importing them costs several
@@ -63,20 +68,32 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a).sum(axis=1)))
 
 
-def _lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a x = rhs by pivoted LU, applying the package's singularity test."""
+def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LU factors ``(lu, piv)`` of a square matrix by ``dgetrf``.
+
+    Raises SingularMatrix when the smallest pivot is at or below
+    ``PIVOT_RTOL`` times the inf-norm: the package's one singularity test.
+    """
     from scipy.linalg import lapack
 
-    a = _nonempty(np.asarray_chkfinite(a))
+    a = _nonempty(np.asarray_chkfinite(_as_square(a)))
     lu, piv = lapack.dgetrf(a)[:2]
     pivot = np.min(np.abs(np.diag(lu)))
     tol = PIVOT_RTOL * inf_norm(a)
     if pivot <= tol:
         raise SingularMatrix(
             f"pivot magnitude {pivot:.3e} at or below tolerance {tol:.3e}")
+    return lu, piv
+
+
+def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
+    """Solve a x = rhs by ``dgetrs`` from the ``lu_factor`` factors of a."""
+    from scipy.linalg import lapack
+
+    lu, piv = factors
     rhs = np.asarray_chkfinite(rhs)
-    if rhs.ndim > 2 or rhs.shape[:1] != a.shape[:1]:
-        raise ValueError(f"Shapes of lu {a.shape} and b {rhs.shape} are incompatible")
+    if rhs.ndim > 2 or rhs.shape[:1] != lu.shape[:1]:
+        raise ValueError(f"Shapes of lu {lu.shape} and b {rhs.shape} are incompatible")
     return lapack.dgetrs(lu, piv, rhs)[0]
 
 
@@ -89,13 +106,14 @@ def det(a) -> float:
 def inverse(a) -> np.ndarray:
     """Matrix inverse; raises SingularMatrix on pivot-tolerance failure."""
     a = _as_square(a)
-    return _lu_solve(a, np.eye(a.shape[0]))
+    return lu_solve(lu_factor(a), np.eye(a.shape[0]))
 
 
 def solve(a, b) -> np.ndarray:
     """Solve a x = b; raises SingularMatrix on pivot-tolerance failure."""
     a = _as_square(a)
-    return _lu_solve(a, np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    return lu_solve(lu_factor(a), b)
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -201,17 +219,39 @@ def perron_root(a) -> float:
     return spectral_radius(a) if root is None else root
 
 
+def _sigma_max_bracket(a: np.ndarray) -> float | None:
+    """sigma_max of ``a`` from the Collatz-Wielandt bracket of a^T a (the step
+    ``a.T @ (a @ x)``, a^T a is never formed), or None where the bracket may
+    not run or does not converge."""
+    if not _bracketable(a):
+        return None
+    root = _collatz_wielandt(lambda x: a.T @ (a @ x), a.shape[0])
+    return None if root is None else float(np.sqrt(root))
+
+
 def sigma_max_nonneg(a) -> float:
     """Largest singular value of a nonnegative square matrix.
 
-    sigma_max^2 is the Perron root of a^T a, bracketed as in ``perron_root``
-    with the step ``a.T @ (a @ x)`` (a^T a is never formed); the same
-    fallbacks lead to ``singular_values(a)[0]``.
+    sigma_max^2 is the Perron root of a^T a, bracketed as in ``perron_root``;
+    the same fallbacks lead to ``singular_values(a)[0]``.
     """
     a = _nonempty(_as_square(a))
-    root = (_collatz_wielandt(lambda x: a.T @ (a @ x), a.shape[0])
-            if _bracketable(a) else None)
-    return float(singular_values(a)[0]) if root is None else float(np.sqrt(root))
+    sigma = _sigma_max_bracket(a)
+    return float(singular_values(a)[0]) if sigma is None else sigma
+
+
+def sigma_min_from_inverse(a, inv) -> float:
+    """Smallest singular value of ``a``, given its inverse ``inv``.
+
+    sigma_min(a) = 1 / sigma_max(inv), and for a nonnegative ``inv`` from
+    _PERRON_MIN_N up that comes from the bracket of ``sigma_max_nonneg``.
+    Below that size, on any negative entry of ``inv`` and when the bracket
+    does not converge it is ``singular_values(a)[-1]``, LAPACK's value bit
+    for bit.
+    """
+    a = _nonempty(_as_square(a))
+    sigma = _sigma_max_bracket(_as_square(inv))
+    return float(singular_values(a)[-1]) if sigma is None else 1.0 / sigma
 
 
 def sign_vector_norm(a, cap_evals: int = DEFAULT_CAP) -> float:

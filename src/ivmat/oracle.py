@@ -34,6 +34,7 @@ class OracleConfig:
 
 
 DEFAULT_CONFIG = OracleConfig()
+_GRID_BUDGET = 1 << 16  # matrix entries per chunk of cube_range grid members
 
 
 def _expand_symmetric(flat: np.ndarray, n: int) -> np.ndarray:
@@ -168,7 +169,8 @@ def cube_range(A: IntervalMatrix, cfg: OracleConfig = DEFAULT_CONFIG) -> Interva
     """Entrywise range of the third power over a diagonally interval matrix.
 
     Dense grid (including endpoints) over the non-degenerate diagonal
-    entries, at most three of them.
+    entries, at most three of them, cubed in chunks of at most
+    ``_GRID_BUDGET`` matrix entries.
     """
     if not A.is_square:
         raise ValueError("cube range requires a square matrix")
@@ -193,13 +195,20 @@ def cube_range(A: IntervalMatrix, cfg: OracleConfig = DEFAULT_CONFIG) -> Interva
     if len(varying) == 0:
         cube = np.linalg.matrix_power(base, 3)
         return IntervalMatrix(cube, cube)
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    mats = np.broadcast_to(base, (total, n, n)).copy()
-    for pos, i in enumerate(varying):
-        mats[:, i, i] = flat[pos]
-    cubes = np.matmul(np.matmul(mats, mats), mats)
-    return IntervalMatrix(cubes.min(axis=0), cubes.max(axis=0))
+    shape = tuple(len(ax) for ax in axes)
+    step = max(1, _GRID_BUDGET // (n * n))
+    lo = np.full((n, n), np.inf)
+    hi = np.full((n, n), -np.inf)
+    for start in range(0, total, step):
+        # grid points start.. in the row-major order of an "ij" meshgrid
+        points = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        mats = np.broadcast_to(base, (len(points[0]), n, n)).copy()
+        for i, ax, pos in zip(varying, axes, points):
+            mats[:, i, i] = ax[pos]
+        cubes = np.matmul(np.matmul(mats, mats), mats)
+        np.minimum(lo, cubes.min(axis=0), out=lo)
+        np.maximum(hi, cubes.max(axis=0), out=hi)
+    return IntervalMatrix(lo, hi)
 
 
 def find_singular_member(A: IntervalMatrix | SymmetricIntervalMatrix,

@@ -327,26 +327,49 @@ def nonneg_ranges(A: IntervalMatrix) -> dict[str, RangeResult | UpperBound]:
         "neither the lower endpoint nor the midpoint is nonnegative")
 
 
-def _monotone_attainers(A: IntervalMatrix, what: str) -> tuple[np.ndarray, np.ndarray, str]:
+def _certified_inverses(A: IntervalMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lower and upper endpoint inverses the inverse nonnegativity test
+    certified, or None when A is not inverse nonnegative.
+
+    The report goes when this returns: a frame that raises stays alive until
+    a cyclic collection, and a decline's witness must not stay with it.
+    """
+    report = classify.is_inverse_nonnegative_interval(A)
+    if not report.is_yes:
+        return None
+    return (report.certificate["inverse_lower_endpoint"],
+            report.certificate["inverse_upper_endpoint"])
+
+
+def _monotone_attainers(A: IntervalMatrix, what: str) -> tuple[
+        np.ndarray, np.ndarray, str, tuple[np.ndarray, np.ndarray] | None]:
     """The members attaining a range that is monotone over the box: the
     endpoints of an inverse nonnegative matrix, or the checkerboard vertices
-    of a totally positive one, with the strategy prefix naming the case."""
-    if classify.is_inverse_nonnegative_interval(A).is_yes:
-        return A.lo.copy(), A.hi.copy(), "inverse-nonnegative-endpoints"
+    of a totally positive one, with the strategy prefix naming the case and
+    the certified endpoint inverses (None on the totally positive path)."""
+    inverses = _certified_inverses(A)
+    if inverses is not None:
+        return A.lo.copy(), A.hi.copy(), "inverse-nonnegative-endpoints", inverses
     if classify.is_totally_positive_interval(A).is_yes:
         down, up = checkerboard_vertices(A)
-        return down, up, "totally-positive-checkerboard"
+        return down, up, "totally-positive-checkerboard", None
     raise PreconditionViolated(
         f"{what} range needs an inverse nonnegative or totally positive matrix")
 
 
 def sigma_min_range(A: IntervalMatrix) -> RangeResult:
     """Smallest-singular-value range for inverse nonnegative or totally
-    positive interval matrices."""
-    lo, hi, strategy = _monotone_attainers(A, "sigma-min")
-    return RangeResult(Interval(float(kernel.singular_values(lo)[-1]),
-                                float(kernel.singular_values(hi)[-1])),
-                       f"{strategy}-sigma-min", {"min": lo, "max": hi})
+    positive interval matrices.
+
+    On the inverse nonnegative path sigma_min(A) = 1 / sigma_max(A^-1) is
+    taken from the certified endpoint inverses (``kernel.sigma_min_from_inverse``).
+    """
+    lo, hi, strategy, inverses = _monotone_attainers(A, "sigma-min")
+    if inverses is None:
+        values = [float(kernel.singular_values(m)[-1]) for m in (lo, hi)]
+    else:
+        values = [kernel.sigma_min_from_inverse(m, inv) for m, inv in zip((lo, hi), inverses)]
+    return RangeResult(Interval(*values), f"{strategy}-sigma-min", {"min": lo, "max": hi})
 
 
 def norm_range(A: IntervalMatrix, which: str = "inf",
@@ -368,11 +391,19 @@ def norm_range(A: IntervalMatrix, which: str = "inf",
 
 def rr_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     """Regularity-radius range for inverse nonnegative or totally positive
-    interval matrices."""
-    lo, hi, strategy = _monotone_attainers(A, "regularity-radius")
-    return RangeResult(Interval(kernel.regularity_radius(lo, cap_evals=cap_evals),
-                                kernel.regularity_radius(hi, cap_evals=cap_evals)),
-                       f"{strategy}-rr", {"min": lo, "max": hi})
+    interval matrices.
+
+    The radius of a member is 1 / ||A^-1||_{inf,1}. For an entrywise
+    nonnegative inverse that norm is the sum of its entries, O(n^2); any
+    other inverse takes the 2^(n-1) sign-vector enumeration, capped.
+    """
+    lo, hi, strategy, inverses = _monotone_attainers(A, "regularity-radius")
+    if inverses is None:  # inverted as the enumeration reaches each, so its cap comes first
+        inverses = (kernel.inverse(m) for m in (lo, hi))
+    radii = [1.0 / (float(inv.sum()) if np.all(inv >= 0.0)
+                    else kernel.sign_vector_norm(inv, cap_evals=cap_evals))
+             for inv in inverses]
+    return RangeResult(Interval(*radii), f"{strategy}-rr", {"min": lo, "max": hi})
 
 
 def inverse_bounds(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
@@ -382,10 +413,9 @@ def inverse_bounds(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResu
     endpoint inverse]. Inverse-M: componentwise extrema over the 2 n^2
     matrices mid +/- diag(z^i) rad diag(z^j) with single sign flips.
     """
-    report = classify.is_inverse_nonnegative_interval(A)
-    if report.is_yes:
-        inv_lo = report.certificate["inverse_lower_endpoint"]
-        inv_hi = report.certificate["inverse_upper_endpoint"]
+    inverses = _certified_inverses(A)
+    if inverses is not None:
+        inv_lo, inv_hi = inverses
         hull = IntervalMatrix(np.minimum(inv_hi, inv_lo), np.maximum(inv_hi, inv_lo))
         return RangeResult(hull, "inverse-nonnegative-endpoint-inverses",
                            {"min": A.hi.copy(), "max": A.lo.copy()})

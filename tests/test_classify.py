@@ -9,14 +9,16 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (
     make_b_instance,
+    make_diag_psd_instance,
     make_h_instance,
     make_inverse_m_instance,
     make_inverse_nonneg_instance,
     make_m_instance,
+    make_nonneg_instance,
     make_tp_instance,
 )
 from ivmat import classify, kernel, oracle
-from ivmat.errors import CapExceeded
+from ivmat.errors import CapExceeded, SingularMatrix
 from ivmat.intervals import (
     IntervalMatrix,
     alternating_signs,
@@ -714,3 +716,189 @@ class TestFirstFailureMatchesArgwhere:
         rep = classify.is_inverse_m_interval(A)
         assert rep.is_no and rep.certificate["entry"] == (i, j) == (90, 17)
         assert rep.certificate["witness"][i, j] == lo[i, j]
+
+
+# -- inverse nonnegativity: the A x = e probe against the full-inverse test --
+
+def _inverse_nonneg_full(A):
+    """The inverse nonnegativity test as it ran before the probe: the full
+    inverse of each endpoint, then its first negative entry."""
+    inverses = {}
+    for name, endpoint in (("lower", A.lo), ("upper", A.hi)):
+        try:
+            inv = kernel.inverse(endpoint)
+        except SingularMatrix:
+            return classify.ClassReport("InverseNonnegative", "no", {
+                "reason": f"{name} endpoint is singular",
+                "witness": endpoint.copy(),
+            })
+        negative = inv < -classify._tol(inv)
+        if negative.any():
+            i, j = np.argwhere(negative)[0]
+            return classify.ClassReport("InverseNonnegative", "no", {
+                "reason": f"{name} endpoint inverse has a negative entry",
+                "entry": (int(i), int(j)),
+                "witness": endpoint.copy(),
+                "inverse_entry": float(inv[i, j]),
+            })
+        inverses[name] = inv
+    return classify.ClassReport("InverseNonnegative", "yes", {
+        "inverse_lower_endpoint": inverses["lower"],
+        "inverse_upper_endpoint": inverses["upper"],
+    })
+
+
+def _assert_probe_certificate(rep, A):
+    cert = rep.certificate
+    name = cert["reason"].split()[0]
+    assert cert["reason"].startswith(f"{name} endpoint is not monotone")
+    assert _same_bits(cert["witness"], A.lo if name == "lower" else A.hi)
+    witness, x = cert["witness"], cert["x"]
+    residual = np.abs(witness @ x - 1.0)
+    assert np.all(residual <= 1e-12 * np.maximum(1.0, np.abs(witness) @ np.abs(x)))
+    assert x[cert["component"]] < 0
+
+
+def _assert_matches_full_inverse_test(A):
+    """Same verdict as the full-inverse test; every certificate but a probe
+    decline bit-identical to its. Returns whether the probe declined."""
+    rep = classify.is_inverse_nonnegative_interval(A)
+    expected = _inverse_nonneg_full(A)
+    assert rep.verdict == expected.verdict
+    if "not monotone" in rep.certificate.get("reason", ""):
+        assert expected.certificate["reason"].split()[0] == rep.certificate["reason"].split()[0]
+        _assert_probe_certificate(rep, A)
+        return True
+    _assert_same_report(rep, expected)
+    return False
+
+
+# Z-pattern boxes of every dominance, some off-diagonal entries flipped
+# positive: inverse nonnegative, declined by the probe, or declined only by
+# the full inverse
+_z_boxes = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)),
+    hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.5 * n)),
+    hnp.arrays(np.bool_, (n, n)),
+    hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 0.3))))
+
+
+def _m_midpoint_not_h(rng, n):
+    """A diagonally dominant Z midpoint with off-diagonal radii twice its
+    off-diagonal magnitudes: an M-matrix midpoint in a box that is not H."""
+    off = -rng.uniform(0.05, 0.5, (n, n))
+    np.fill_diagonal(off, 0.0)
+    mid = off + np.diag(np.abs(off).sum(axis=1) * rng.uniform(1.05, 1.3, n))
+    return IntervalMatrix.from_midrad(mid, 2.0 * np.abs(off))
+
+
+class TestInverseNonnegativeProbe:
+    @given(_z_boxes, st.sampled_from([-12, 0, 12]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_inverse_test(self, box, exp):
+        off, diag, flips, rad = box
+        lo = np.where(flips, off, -off)
+        np.fill_diagonal(lo, diag)
+        scale = 10.0 ** exp
+        _assert_matches_full_inverse_test(IntervalMatrix(lo * scale, (lo + rad) * scale))
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+               hnp.arrays(np.float64, (n, n), elements=_unit),
+               hnp.arrays(np.float64, (n, n), elements=_unit))),
+           st.integers(-12, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_inverse_test_on_mixed_boxes(self, pair, exp):
+        a, b = (m * 10.0 ** exp for m in pair)
+        _assert_matches_full_inverse_test(IntervalMatrix(np.minimum(a, b), np.maximum(a, b)))
+
+    def test_one_by_one_and_degenerate_boxes(self):
+        boxes = [IntervalMatrix([[x]], [[y]]) for x, y in
+                 ((2.0, 3.0), (-1.0, 2.0), (-3.0, -1.0), (0.0, 1.0), (1e-12, 1e12))]
+        boxes += [IntervalMatrix.point(m) for m in
+                  (np.eye(3), [[1.0, 2.0], [3.0, 4.0]], [[2.0, -1.0], [-1.0, 2.0]],
+                   np.ones((2, 2)), [[1.0, -2.0], [0.0, 1.0]])]
+        boxes += list(_interval_boxes({}))[-3:]
+        fired = {_assert_matches_full_inverse_test(A) for A in boxes}
+        assert fired == {True, False}
+
+    def test_class_pools(self, class_pools):
+        for pool in class_pools.values():
+            for A in pool:
+                _assert_matches_full_inverse_test(A)
+
+    @pytest.mark.parametrize("make", [
+        make_h_instance, make_nonneg_instance, make_diag_psd_instance,
+        lambda rng, n: IntervalMatrix.from_midrad(rng.uniform(-1.0, 1.0, (n, n)),
+                                                  rng.uniform(0.0, 0.1, (n, n))),
+        _m_midpoint_not_h,
+    ], ids=["h", "nonneg", "diag-psd", "generic", "m-midpoint-not-h"])
+    def test_n200_decline_solves_no_identity(self, make, monkeypatch):
+        from scipy.linalg import lapack
+
+        A = make(np.random.default_rng(80), 200)
+        shapes = []
+        dgetrs = lapack.dgetrs
+
+        def spy(lu, piv, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return dgetrs(lu, piv, b, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgetrs", spy)
+        rep = classify.is_inverse_nonnegative_interval(A)
+        assert rep.is_no and shapes == [(200,)]
+        _assert_probe_certificate(rep, A)
+
+    def test_yes_solves_probe_then_identity(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        A = make_m_instance(np.random.default_rng(81), 200)
+        shapes = []
+        dgetrs = lapack.dgetrs
+
+        def spy(lu, piv, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return dgetrs(lu, piv, b, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgetrs", spy)
+        rep = classify.is_inverse_nonnegative_interval(A)
+        assert rep.is_yes and shapes == [(200,), (200, 200)] * 2
+        _assert_same_report(rep, _inverse_nonneg_full(A))
+
+
+# -- total positivity: one comparison passes every 1x1 window ---------------
+
+def _tp_boundary_matrices():
+    """Positive matrices, and matrices with their smallest entry at the
+    tolerance, one ulp either side of it, and either side of the point from
+    which one comparison passes the entries."""
+    rng = np.random.default_rng(82)
+    for n in range(1, 9):
+        for _ in range(3):
+            a = rng.uniform(0.5, 1.5, (n, n))
+            yield a
+            tol = classify._tol(a)
+            skip_from = tol * (1 + 1e-12)
+            for value in (tol, np.nextafter(tol, np.inf), np.nextafter(tol, 0.0),
+                          skip_from, np.nextafter(skip_from, np.inf)):
+                b = a.copy()
+                b[rng.integers(n), rng.integers(n)] = value
+                yield b
+    yield from _tp_kernel_matrices()
+
+
+class TestTotallyPositiveEntryPass:
+    def test_matches_per_window_reference(self):
+        verdicts = set()
+        for a in _tp_boundary_matrices():
+            expected = _tp_per_window(a)
+            _assert_same_report(classify.is_totally_positive_real(a), expected)
+            rows = expected.certificate.get("rows")
+            verdicts.add("yes" if rows is None else rows[1] - rows[0])
+        assert {"yes", 1, 2} <= verdicts
+
+    def test_positive_n200_takes_no_1x1_determinant(self, monkeypatch):
+        a = np.random.default_rng(83).uniform(0.5, 1.5, (200, 200))
+        expected = _tp_per_window(a)
+        calls = TestStackedKernelCost._count_dets(monkeypatch)
+        _assert_same_report(classify.is_totally_positive_real(a), expected)
+        assert calls and all(shape[-2:] != (1, 1) for shape in calls)

@@ -143,6 +143,24 @@ class TestCliCommands:
         again = json.loads(json.dumps(payload))
         assert again == payload
 
+    def test_classify_json_roundtrips_a_probe_certificate(self, tmp_path, capsys):
+        # the lower endpoint has A^-1 e = (-1, 1, 0): the A x = e probe declines it
+        path = _write(tmp_path, "probe.json", {
+            "format_version": 1, "kind": "matrix",
+            "entries": [[[1, 1.5], 2, 0], [3, 4, 1], [0, 1, 1]],
+        })
+        assert main(["classify", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reports = {r["class"]: r for r in payload["result"]}
+        cert = reports["InverseNonnegative"]["certificate"]
+        expected = classify.is_inverse_nonnegative_interval(
+            parse_problem(path).matrix).certificate
+        assert cert["reason"].startswith("lower endpoint is not monotone")
+        assert cert["component"] == expected["component"]
+        assert cert["x"] == expected["x"].tolist()  # bit-exact
+        assert cert["witness"] == expected["witness"].tolist()
+        assert json.loads(json.dumps(payload)) == payload
+
     def test_solve_auto_reports_strategy(self, system_file, capsys):
         assert main(["solve", system_file, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

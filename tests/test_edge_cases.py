@@ -122,6 +122,9 @@ _INV_M = IntervalMatrix.from_midrad(np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0,
                                     np.full((2, 2), 0.02))  # 2^4 vertices
 _NONNEG = IntervalMatrix.from_midrad(np.full((4, 4), 1.0), np.full((4, 4), 0.1))
 _M4 = IntervalMatrix.from_midrad(4.0 * np.eye(4) - 0.5, np.full((4, 4), 0.05))
+# inverses of checkerboard sign: rr_range enumerates 2^3 sign vectors per
+# endpoint here, where the nonnegative inverses of _M4 take a closed form
+_TP4 = make_tp_instance(np.random.default_rng(4), 4)
 _SYM_M_NOT_H = IntervalMatrix.from_midrad(2.5 * np.eye(4) - 0.5,
                                           0.5 * (1.0 - np.eye(4)))
 _SIGN_STABLE = make_sign_stable_instance(np.random.default_rng(3), 2)  # 2^4 vertices
@@ -172,7 +175,7 @@ CAPPED_ENTRY_POINTS = {
     "ranges.norm_range inf1": (
         1 << 3, lambda cap: ranges.norm_range(_NONNEG, "inf1", cap_evals=cap), None),
     "ranges.rr_range": (
-        1 << 3, lambda cap: ranges.rr_range(_M4, cap_evals=cap), None),
+        1 << 3, lambda cap: ranges.rr_range(_TP4, cap_evals=cap), None),
     "ranges.inverse_bounds": (
         1 << 4, lambda cap: ranges.inverse_bounds(_INV_M, cap_evals=cap), None),
     "ranges.det_range": (

@@ -175,6 +175,52 @@ class TestCubeRange:
             assert np.all(cube <= hull.hi + 5e-3)
 
 
+def _cube_range_all_at_once(A, cfg):
+    """oracle.cube_range as it ran before chunking: every grid matrix at once."""
+    n = A.rows
+    diag_lo, diag_hi = np.diag(A.lo), np.diag(A.hi)
+    varying = np.flatnonzero(diag_hi > diag_lo)
+    axes = [np.linspace(diag_lo[i], diag_hi[i],
+                        max(2, int(round((diag_hi[i] - diag_lo[i]) / cfg.grid_step)) + 1))
+            for i in varying]
+    flat = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    mats = np.broadcast_to(A.mid, (len(flat[0]), n, n)).copy()
+    for pos, i in enumerate(varying):
+        mats[:, i, i] = flat[pos]
+    cubes = np.matmul(np.matmul(mats, mats), mats)
+    return cubes.min(axis=0), cubes.max(axis=0)
+
+
+def _three_varying_diagonals(rng, n, radius):
+    rad = np.zeros((n, n))
+    for v in rng.choice(n, size=3, replace=False):
+        rad[v, v] = radius
+    return IntervalMatrix.from_midrad(rng.uniform(-1.0, 1.0, (n, n)), rad)
+
+
+class TestCubeRangeChunks:
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_bit_equal_to_all_at_once(self, n):
+        rng = np.random.default_rng([97, n])
+        cfg = oracle.OracleConfig(grid_step=2e-2)
+        for radius in (0.1, 0.2, 0.3):  # 1,000 to 29,791 grid points
+            A = _three_varying_diagonals(rng, n, radius)
+            lo, hi = _cube_range_all_at_once(A, cfg)
+            got = oracle.cube_range(A, cfg)
+            assert got.lo.tobytes() == lo.tobytes() and got.hi.tobytes() == hi.tobytes()
+
+    def test_memory_stays_bounded(self):
+        # 41^3 grid points at n = 8: all at once this peaked at about 100 MB
+        A = _three_varying_diagonals(np.random.default_rng(98), 8, 0.2)
+        tracemalloc.start()
+        try:
+            oracle.cube_range(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
 def test_find_singular_member():
     A = IntervalMatrix([[1, -1], [-1, 1]], [[3, 0], [0, 3]])
     member = oracle.find_singular_member(A)

@@ -385,6 +385,66 @@ class TestSigmaMin:
         assert sampled.hi <= res.value.hi + 1e-9
 
 
+class TestSigmaMinFromInverses:
+    """sigma_min of inverse nonnegative boxes is 1 / sigma_max of the endpoint
+    inverses the recognition test certified, from the crossover size up."""
+
+    @staticmethod
+    def _svd_calls(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_matches_svd(self, n):
+        for make in (make_m_instance, make_inverse_nonneg_instance):
+            A = make(np.random.default_rng([90, n]), n)
+            res = ranges.sigma_min_range(A)
+            assert res.strategy == "inverse-nonnegative-endpoints-sigma-min"
+            assert res.value.lo == pytest.approx(kernel.singular_values(A.lo)[-1], rel=1e-12)
+            assert res.value.hi == pytest.approx(kernel.singular_values(A.hi)[-1], rel=1e-12)
+
+    def test_n200_takes_no_svd(self, monkeypatch):
+        A = make_m_instance(np.random.default_rng(91), 200)
+        calls = self._svd_calls(monkeypatch)
+        ranges.sigma_min_range(A)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 10, kernel._PERRON_MIN_N - 1])
+    def test_below_crossover_is_lapack_bit_for_bit(self, n):
+        A = make_m_instance(np.random.default_rng([92, n]), n)
+        res = ranges.sigma_min_range(A)
+        assert res.value.lo == float(np.linalg.svd(A.lo, compute_uv=False)[-1])
+        assert res.value.hi == float(np.linalg.svd(A.hi, compute_uv=False)[-1])
+
+    def test_tp_path_is_lapack_bit_for_bit(self):
+        res = ranges.sigma_min_range(TP_EXAMPLE)
+        for end, key in (("lo", "min"), ("hi", "max")):
+            member = res.attainers[key]
+            assert getattr(res.value, end) == float(np.linalg.svd(member, compute_uv=False)[-1])
+
+    def test_negative_inverse_entry_is_lapack_bit_for_bit(self, monkeypatch):
+        a = make_m_instance(np.random.default_rng(93), 200).lo
+        inv = kernel.inverse(a)
+        inv[3, 7] = -1e-300  # certified down to -tol, but not bracketable
+        calls = self._svd_calls(monkeypatch)
+        got = kernel.sigma_min_from_inverse(a, inv)
+        assert calls == [(200, 200)]
+        assert got == float(np.linalg.svd(a, compute_uv=False)[-1])
+
+    def test_unconverged_bracket_is_lapack_bit_for_bit(self, monkeypatch):
+        a = make_m_instance(np.random.default_rng(94), 50).lo
+        monkeypatch.setattr(kernel, "_collatz_wielandt", lambda step, n: None)
+        got = kernel.sigma_min_from_inverse(a, kernel.inverse(a))
+        assert got == float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
 class TestNormRange:
     def test_examples(self):
         A = IntervalMatrix([[1, 0], [0, 2]], [[2, 0], [0, 2]])
@@ -426,6 +486,26 @@ class TestRrRange:
         assert sampled.hi <= res.value.hi + 1e-9
 
 
+class TestRrClosedForm:
+    """A nonnegative inverse has ||A^-1||_{inf,1} = e^T A^-1 e: no sign-vector
+    enumeration on inverse nonnegative boxes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    def test_matches_enumeration(self, n):
+        for make in (make_m_instance, make_inverse_nonneg_instance):
+            A = make(np.random.default_rng([95, n]), n)
+            res = ranges.rr_range(A)
+            assert res.strategy == "inverse-nonnegative-endpoints-rr"
+            assert res.value.lo == pytest.approx(kernel.regularity_radius(A.lo), rel=1e-12)
+            assert res.value.hi == pytest.approx(kernel.regularity_radius(A.hi), rel=1e-12)
+
+    def test_n40_is_finite_under_the_default_cap(self):
+        A = make_m_instance(np.random.default_rng(96), 40)
+        res = ranges.rr_range(A)
+        assert 0.0 < res.value.lo <= res.value.hi < np.inf
+        assert res.value.lo == pytest.approx(1.0 / kernel.inverse(A.lo).sum(), rel=1e-12)
+
+
 class TestInverseBounds:
     def test_inverse_nonneg_example(self):
         res = ranges.inverse_bounds(INV_NONNEG)
@@ -463,13 +543,13 @@ class TestInverseBounds:
         A = make_inverse_nonneg_instance(np.random.default_rng(47), 10)
         inv_lo, inv_hi = kernel.inverse(A.lo), kernel.inverse(A.hi)
         calls = []
-        inverse = kernel.inverse
+        lu_factor = kernel.lu_factor
 
         def spy(a):
             calls.append(a)
-            return inverse(a)
+            return lu_factor(a)
 
-        monkeypatch.setattr(kernel, "inverse", spy)
+        monkeypatch.setattr(kernel, "lu_factor", spy)
         res = ranges.inverse_bounds(A)
         assert len(calls) == 2
         assert np.array_equal(res.value.lo, np.minimum(inv_hi, inv_lo))
