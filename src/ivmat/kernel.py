@@ -1,7 +1,7 @@
 """Dense real linear algebra primitives used by every theorem-backed routine.
 
 Factorizations are LAPACK-backed; ``lu_factor`` and ``lu_solve`` call the LU
-routines ``dgetrf``/``dgetrs`` directly through ``scipy.linalg.lapack``.
+routines ``dgetrf``/``dgetrs`` of SciPy's compiled LAPACK module directly.
 This module adds the package-wide notion of numerical singularity (pivot
 magnitude relative to the matrix inf-norm), the exponential
 max-of-sign-vectors norm, and a thin LP wrapper with explicit
@@ -23,14 +23,25 @@ cannot run or does not converge, they return the LAPACK result unchanged.
 ``inverse``, so a caller can solve several right-hand sides, or decide from a
 cheap one whether it needs the others, from one ``dgetrf``.
 
-SciPy is imported on first use: ``scipy.linalg`` on the first pivoted LU
-solve and ``scipy.optimize`` on the first LP. Importing them costs several
-times more than numpy does, so a command that needs neither (eigenvalue,
-norm or cube ranges) does not pay for them.
+SciPy is loaded on first use, and only as much of it as is called. The
+first pivoted LU loads the compiled module ``scipy.linalg._flapack`` from its
+file, without running the ``scipy`` or ``scipy.linalg`` package code, which
+imports far more than the LU needs. The module is not entered in
+``sys.modules``, so a later ``import scipy.linalg`` loads as it would
+otherwise; when ``scipy.linalg`` is already loaded, its ``_flapack`` is
+reused. If the file cannot be found or loaded, or lacks either routine, the
+LU falls back to ``scipy.linalg.lapack``, which exports the same routine
+objects. The first LP imports ``scipy.optimize``. A command that needs
+neither (eigenvalue, norm or cube ranges) loads no SciPy code at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +56,7 @@ _PERRON_MIN_N = 32
 _PERRON_STEPS = 100
 _STALL_RTOL = 2e-13  # a stalled bracket this narrow is rounding noise
 _EPS = float(np.finfo(float).eps)
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _as_square(a) -> np.ndarray:
@@ -68,16 +80,52 @@ def inf_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a).sum(axis=1)))
 
 
+def _load_flapack():
+    """``scipy.linalg._flapack``: SciPy's own if loaded, else loaded from its
+    file alone, or None."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    stem = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)), None)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(
+        _FLAPACK, path, loader=importlib.machinery.ExtensionFileLoader(_FLAPACK, path))
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    finally:
+        # CPython enters a single-phase extension in sys.modules as it creates
+        # it; leave the entry to the import of scipy.linalg
+        sys.modules.pop(_FLAPACK, None)
+    if not all(hasattr(module, r) for r in ("dgetrf", "dgetrs")):
+        return None
+    return module
+
+
+@functools.cache
+def _lapack():
+    """The module whose ``dgetrf``/``dgetrs`` the LU calls (see the module doc)."""
+    module = _load_flapack()
+    if module is None:
+        from scipy.linalg import lapack as module
+    return module
+
+
 def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted LU factors ``(lu, piv)`` of a square matrix by ``dgetrf``.
 
     Raises SingularMatrix when the smallest pivot is at or below
     ``PIVOT_RTOL`` times the inf-norm: the package's one singularity test.
     """
-    from scipy.linalg import lapack
-
     a = _nonempty(np.asarray_chkfinite(_as_square(a)))
-    lu, piv = lapack.dgetrf(a)[:2]
+    lu, piv = _lapack().dgetrf(a)[:2]
     pivot = np.min(np.abs(np.diag(lu)))
     tol = PIVOT_RTOL * inf_norm(a)
     if pivot <= tol:
@@ -88,13 +136,11 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
 
 def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
     """Solve a x = rhs by ``dgetrs`` from the ``lu_factor`` factors of a."""
-    from scipy.linalg import lapack
-
     lu, piv = factors
     rhs = np.asarray_chkfinite(rhs)
     if rhs.ndim > 2 or rhs.shape[:1] != lu.shape[:1]:
         raise ValueError(f"Shapes of lu {lu.shape} and b {rhs.shape} are incompatible")
-    return lapack.dgetrs(lu, piv, rhs)[0]
+    return _lapack().dgetrs(lu, piv, rhs)[0]
 
 
 def det(a) -> float:

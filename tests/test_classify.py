@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -792,6 +793,20 @@ def _m_midpoint_not_h(rng, n):
     return IntervalMatrix.from_midrad(mid, 2.0 * np.abs(off))
 
 
+def _spy_dgetrs(monkeypatch):
+    """Shapes of the right-hand sides of every ``dgetrs`` the kernel calls."""
+    lapack = kernel._lapack()
+    shapes = []
+
+    def dgetrs(lu, piv, b, *args, **kwargs):
+        shapes.append(np.shape(b))
+        return lapack.dgetrs(lu, piv, b, *args, **kwargs)
+
+    spy = SimpleNamespace(dgetrf=lapack.dgetrf, dgetrs=dgetrs)
+    monkeypatch.setattr(kernel, "_lapack", lambda: spy)
+    return shapes
+
+
 class TestInverseNonnegativeProbe:
     @given(_z_boxes, st.sampled_from([-12, 0, 12]))
     @settings(max_examples=300, deadline=None)
@@ -833,33 +848,15 @@ class TestInverseNonnegativeProbe:
         _m_midpoint_not_h,
     ], ids=["h", "nonneg", "diag-psd", "generic", "m-midpoint-not-h"])
     def test_n200_decline_solves_no_identity(self, make, monkeypatch):
-        from scipy.linalg import lapack
-
         A = make(np.random.default_rng(80), 200)
-        shapes = []
-        dgetrs = lapack.dgetrs
-
-        def spy(lu, piv, b, *args, **kwargs):
-            shapes.append(np.shape(b))
-            return dgetrs(lu, piv, b, *args, **kwargs)
-
-        monkeypatch.setattr(lapack, "dgetrs", spy)
+        shapes = _spy_dgetrs(monkeypatch)
         rep = classify.is_inverse_nonnegative_interval(A)
         assert rep.is_no and shapes == [(200,)]
         _assert_probe_certificate(rep, A)
 
     def test_yes_solves_probe_then_identity(self, monkeypatch):
-        from scipy.linalg import lapack
-
         A = make_m_instance(np.random.default_rng(81), 200)
-        shapes = []
-        dgetrs = lapack.dgetrs
-
-        def spy(lu, piv, b, *args, **kwargs):
-            shapes.append(np.shape(b))
-            return dgetrs(lu, piv, b, *args, **kwargs)
-
-        monkeypatch.setattr(lapack, "dgetrs", spy)
+        shapes = _spy_dgetrs(monkeypatch)
         rep = classify.is_inverse_nonnegative_interval(A)
         assert rep.is_yes and shapes == [(200,), (200, 200)] * 2
         _assert_same_report(rep, _inverse_nonneg_full(A))

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -125,6 +126,91 @@ class TestLapackLU:
             assert _same_bits(kernel.solve(a, b), _reference_solve(a_copy, b_copy))
             assert _same_bits(kernel.inverse(a), _reference_solve(a_copy, np.eye(4)))
             assert _same_bits(a, a_copy) and _same_bits(b, b_copy)
+
+
+# Runs the LU at n = 3 and 50 after {setup}, records which module the kernel
+# took dgetrf/dgetrs from and what sys.modules held, then imports scipy.linalg
+# and compares every output bit with its LU wrappers and its dgetrf.
+_LOADER_PROBE = """
+import json, sys
+import numpy as np
+from ivmat import kernel
+{setup}
+out = []
+for n in (3, 50):
+    rng = np.random.default_rng([44, n])
+    a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+    b = rng.standard_normal(n)
+    out.append((a, b, kernel.inverse(a), kernel.solve(a, b), kernel.lu_factor(a)))
+seen = {{"lapack": kernel._lapack().__name__,
+         "loaded": [m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")]}}
+import scipy.linalg
+same = []
+for a, b, inv, x, (lu, piv) in out:
+    factors = scipy.linalg.lu_factor(a)
+    lu_ref, piv_ref, info = scipy.linalg.lapack.dgetrf(a)
+    same += [inv.tobytes() == scipy.linalg.lu_solve(factors, np.eye(len(a))).tobytes(),
+             x.tobytes() == scipy.linalg.lu_solve(factors, b).tobytes(),
+             info == 0 and lu.tobytes() == lu_ref.tobytes() == factors[0].tobytes()
+             and piv.tobytes() == piv_ref.tobytes()]
+seen["same"] = same
+seen["reused"] = kernel._lapack() is sys.modules["scipy.linalg._flapack"]
+print(json.dumps(seen))
+"""
+
+# Each way the private load can fail returns None; the last one stays in
+# place while the LU runs, so the LU takes scipy.linalg.lapack.
+_FAILED_LOADS = """
+import importlib.machinery, importlib.util, os, tempfile
+suffixes, find_spec = importlib.machinery.EXTENSION_SUFFIXES, importlib.util.find_spec
+failed = []
+with tempfile.TemporaryDirectory() as root:
+    os.mkdir(os.path.join(root, "linalg"))
+    with open(os.path.join(root, "linalg", "_flapack" + suffixes[0]), "w") as f:
+        f.write("not a shared object")
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [root]
+    for spec in (None, fake):
+        importlib.util.find_spec = lambda name, *a: spec if name == "scipy" else find_spec(name, *a)
+        failed.append(kernel._load_flapack())
+importlib.util.find_spec = find_spec
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+failed.append(kernel._load_flapack())
+assert failed == [None] * 3 and "scipy.linalg._flapack" not in sys.modules, failed
+"""
+
+
+def _run_loader_probe(setup: str = "") -> dict:
+    import subprocess
+    import sys
+    res = subprocess.run([sys.executable, "-c", _LOADER_PROBE.format(setup=setup)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    return json.loads(res.stdout)
+
+
+class TestLapackLoader:
+    """Which module ``dgetrf``/``dgetrs`` come from, each case in a fresh
+    process: in-process tests may have imported scipy.linalg already."""
+
+    def test_private_load_then_scipy_linalg(self):
+        seen = _run_loader_probe()
+        assert seen["lapack"] == "scipy.linalg._flapack"
+        assert seen["loaded"] == [False, False]
+        assert seen["same"] == [True] * 6
+
+    def test_reuses_module_of_loaded_scipy_linalg(self):
+        seen = _run_loader_probe("import scipy.linalg")
+        assert seen["reused"] and seen["lapack"] == "scipy.linalg._flapack"
+        assert seen["loaded"] == [True, True]
+        assert seen["same"] == [True] * 6
+
+    def test_failed_private_load_falls_back_to_scipy_linalg(self):
+        seen = _run_loader_probe(_FAILED_LOADS)
+        assert seen["lapack"] == "scipy.linalg.lapack"
+        assert seen["loaded"] == [True, True]
+        assert seen["same"] == [True] * 6
 
 
 class TestSymmetricEigen:
