@@ -125,9 +125,10 @@ def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
     ``PIVOT_RTOL`` times the inf-norm: the package's one singularity test.
     """
     a = _nonempty(np.asarray_chkfinite(_as_square(a)))
+    # tol first: inf_norm's n x n temporary is freed before dgetrf allocates
+    tol = PIVOT_RTOL * inf_norm(a)
     lu, piv = _lapack().dgetrf(a)[:2]
     pivot = np.min(np.abs(np.diag(lu)))
-    tol = PIVOT_RTOL * inf_norm(a)
     if pivot <= tol:
         raise SingularMatrix(
             f"pivot magnitude {pivot:.3e} at or below tolerance {tol:.3e}")

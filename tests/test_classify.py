@@ -1,12 +1,14 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (
     make_b_instance,
@@ -364,34 +366,79 @@ class TestSoundnessSampling:
             assert np.all(np.linalg.inv(member) >= -1e-10)
 
 
-# -- stacked recognition kernels against the per-window scans they replaced --
+# -- pivot recognition tests against minor-by-minor references --------------
+
+_MARGIN = 1e-9  # a reference minor within _MARGIN max|a|^k of zero is a tie
+
+
+def _minor_signs(a, stacks):
+    """Per matrix of ``a`` (..., n, n): whether every minor in ``stacks`` (the
+    k x k submatrices for k = 1, 2, ..., stacked) is farther than the margin
+    from zero, and whether every one is positive."""
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)[..., None]
+    clear = positive = np.ones(a.shape[:-2], dtype=bool)
+    for k, sub in enumerate(stacks, 1):
+        with np.errstate(divide="ignore", invalid="ignore"):  # subnormal input: not clear
+            minors = np.linalg.det(sub)
+        clear = clear & np.all(np.abs(minors) > _MARGIN * scale ** k, axis=-1)
+        positive = positive & np.all(minors > 0, axis=-1)
+    return clear, positive
+
 
 def _tp_per_window(a):
+    """(clear, totally positive) from every contiguous minor of ``a``."""
+    return _minor_signs(a, [sliding_window_view(a, (k, k)).reshape(-1, k, k)
+                            for k in range(1, len(a) + 1)])
+
+
+def _p_per_subset(a):
+    """(clear, P-matrix) from every principal minor, per matrix of ``a``."""
+    n = a.shape[-1]
+    subsets = (np.array(list(itertools.combinations(range(n), k))) for k in range(1, n + 1))
+    return _minor_signs(a, [a[..., idx[:, :, None], idx[:, None, :]] for idx in subsets])
+
+
+def _assert_pivot_certificate(a, rows, cols, pivot, tol, clear):
+    """A no certificate re-checks exactly: its pivot is at most ``tol`` and is
+    the minor on rows x cols over the positive minor without the last row and
+    column, so that minor is nonpositive up to the threshold; where every
+    minor clears the margin, it is negative."""
+    w = [[Fraction(float(x)) for x in row] for row in a[np.ix_(list(rows), list(cols))]]
+    lead, minor = _exact_det([row[:-1] for row in w[:-1]]), _exact_det(w)
+    assert pivot <= tol and lead > 0
+    assert abs(minor / lead - Fraction(pivot)) <= 1e-8 * max(np.max(np.abs(a)), abs(pivot))
+    if clear:
+        assert minor < 0
+
+
+def _check_tp(a):
+    """is_totally_positive_real(a), checked against the window reference."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    tol = classify._tol(a)
-    for k in range(1, n + 1):
-        for i0 in range(n - k + 1):
-            for j0 in range(n - k + 1):
-                minor = float(np.linalg.det(a[i0:i0 + k, j0:j0 + k]))
-                if minor <= tol:
-                    return classify.ClassReport("TotallyPositive", "no", {
-                        "reason": "nonpositive contiguous minor",
-                        "rows": (i0, i0 + k),
-                        "cols": (j0, j0 + k),
-                        "minor": minor,
-                    })
-    return classify.ClassReport("TotallyPositive", "yes", {"windows_checked": True})
+    rep = classify.is_totally_positive_real(a)
+    clear, positive = _tp_per_window(a)
+    if clear:
+        assert rep.is_yes == positive
+    if rep.is_no:
+        (r0, r1), (c0, c1) = rep.certificate["rows"], rep.certificate["cols"]
+        assert r1 - r0 == c1 - c0 and 0 in (r0, c0)  # an initial minor
+        _assert_pivot_certificate(a, range(r0, r1), range(c0, c1), rep.certificate["pivot"],
+                                  classify._pivot_tol(a), clear)
+    return rep
 
 
-def _p_per_subset(a, tol):
-    n = a.shape[0]
-    for k in range(1, n + 1):
-        for rows in itertools.combinations(range(n), k):
-            minor = float(np.linalg.det(a[np.ix_(rows, rows)]))
-            if minor <= tol:
-                return False, rows
-    return True, None
+def _check_p(a):
+    """The Schur-complement P test of ``a``, checked against the subset reference."""
+    a = np.asarray(a, dtype=float)
+    tol = classify._pivot_tol(a)
+    found = classify._first_nonpositive_pivot(a[None], tol)
+    clear, positive = _p_per_subset(a)
+    if clear:
+        assert (found is None) == positive
+    if found is not None:
+        i, subset, pivot = found
+        assert i == 0 and list(subset) == sorted(set(subset))
+        _assert_pivot_certificate(a, subset, subset, pivot, tol, clear)
+    return found
 
 
 def _b_per_row(A):
@@ -448,7 +495,7 @@ def _assert_same_report(got, expected):
 def _kernel_matrices(pools):
     """Real test matrices: pool endpoints, midpoints and checkerboard vertices,
     random matrices at n = 1..12, zero and 1x1 matrices, and TP kernel
-    matrices exp(x_i y_j) with increasing nodes, where every window passes."""
+    matrices exp(x_i y_j) with increasing nodes, where every pivot passes."""
     for pool in pools.values():
         for A in pool:
             yield from (A.lo, A.hi, A.mid)
@@ -461,7 +508,7 @@ def _kernel_matrices(pools):
     for n in (0, 1, 2, 5):
         yield np.zeros((n, n))
     yield from (np.array([[x]]) for x in (2.0, 1e-11, -1.0, 0.0))
-    # a minor equal to the tolerance: 1e-10 * 1e10 == 1.0 == det([[1.0]])
+    # a pivot equal to the threshold: 1e-10 * 1e10 == 1.0, the first entry
     yield np.array([[1.0, 1e10], [1e10, 3.0]])
     for a in _tp_kernel_matrices():
         # lowering the corner entry until the full determinant turns negative
@@ -473,7 +520,7 @@ def _kernel_matrices(pools):
 
 def _tp_kernel_matrices():
     """exp(0.3 x_i y_j) with increasing nodes x, y at n = 5..8: totally
-    positive, so every contiguous window is evaluated."""
+    positive, so every pivot is evaluated."""
     rng = np.random.default_rng(63)
     for n in range(5, 9):
         x = np.arange(n) + np.sort(rng.uniform(0.0, 0.5, n))
@@ -502,12 +549,14 @@ _unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 class TestStackedKernelsMatchReference:
+    """Pivot verdicts equal the minor-by-minor verdicts wherever every minor
+    clears the margin, and every no certificate re-checks."""
+
     def test_total_positivity(self, class_pools):
         outcomes = set()
         for a in _kernel_matrices(class_pools):
-            expected = _tp_per_window(a)
-            _assert_same_report(classify.is_totally_positive_real(a), expected)
-            rows = expected.certificate.get("rows")
+            rep = _check_tp(a)
+            rows = rep.certificate.get("rows")
             outcomes.add("yes" if rows is None else rows[1] - rows[0])
         # yes verdicts and failing windows of size 1, 2 and larger all occur
         assert {"yes", 1, 2} <= outcomes and max(outcomes - {"yes"}) > 2
@@ -519,11 +568,8 @@ class TestStackedKernelsMatchReference:
     def test_principal_minors(self, class_pools):
         outcomes = set()
         for a in _kernel_matrices(class_pools):
-            tol = classify._tol(a)
-            expected = _p_per_subset(a, tol)
-            assert classify._real_p_test(a, tol) == expected
-            ok, subset = expected
-            outcomes.add("yes" if ok else len(subset))
+            found = _check_p(a)
+            outcomes.add("yes" if found is None else len(found[1]))
         assert {"yes", 1} <= outcomes and max(outcomes - {"yes"}) > 1
 
     def test_b_matrix(self, class_pools):
@@ -541,26 +587,29 @@ class TestStackedKernelsMatchReference:
     @settings(max_examples=150, deadline=None)
     def test_scaled_finite_matrices(self, pair, exp):
         a, b = (m * 10.0 ** exp for m in pair)
-        _assert_same_report(classify.is_totally_positive_real(a), _tp_per_window(a))
-        tol = classify._tol(a)
-        assert classify._real_p_test(a, tol) == _p_per_subset(a, tol)
+        _check_tp(a)
+        _check_p(a)
         A = IntervalMatrix(np.minimum(a, b), np.maximum(a, b))
         _assert_same_report(classify.is_b_matrix_interval(A), _b_per_row(A))
 
 
-def _p_sign_vertex_reference(A, tol):
-    """The sign-vertex P test one vertex at a time, as it ran before stacking:
-    (sign vector, vertex, subset) of the first failing vertex, or None."""
+def _p_sign_vertex_reference(A):
+    """The sign-vertex P test by principal minors: (clear, sign vector,
+    vertex) of the first vertex with a negative principal minor, or (clear,
+    None, None); clear when every minor of the vertices up to that one clears
+    the margin."""
     n = A.rows
     hi = np.ones(n)
     hi[:1] = -1.0
+    clear = True
     for chunk in vertex_chunks(-np.ones(n), hi):
-        for v in chunk:
-            vertex = A.mid - np.outer(v, v) * A.rad
-            ok, subset = _p_per_subset(vertex, tol)
-            if not ok:
-                return -v, vertex, subset
-    return None
+        vertices = A.mid - chunk[:, :, None] * chunk[:, None, :] * A.rad
+        ok, positive = _p_per_subset(vertices)
+        if not positive.all():
+            i = int(positive.argmin())
+            return clear and bool(ok[:i + 1].all()), -chunk[i], vertices[i]
+        clear = clear and bool(ok.all())
+    return clear, None, None
 
 
 def _same_bits(x, y):
@@ -586,37 +635,47 @@ class TestStackedSignVertexP:
             rep = classify.is_p_matrix_special(A)
             if rep.certificate.get("path") != "sign-vertex enumeration":
                 continue
-            expected = _p_sign_vertex_reference(A, classify._tol(A.lo, A.hi))
-            if expected is None:
+            clear, z, vertex = _p_sign_vertex_reference(A)
+            if rep.is_no:
+                cert = rep.certificate
+                subset = cert["principal_subset"]
+                _assert_pivot_certificate(cert["witness"], subset, subset, cert["pivot"],
+                                          classify._pivot_tol(A.lo, A.hi), clear)
+            if not clear:
+                continue
+            if z is None:
                 assert rep.is_yes
                 seen.add("yes")
                 continue
-            z, vertex, subset = expected
             assert rep.is_no
             assert _same_bits(rep.certificate["sign_vector"], z)
             assert _same_bits(rep.certificate["witness"], vertex)
-            assert rep.certificate["principal_subset"] == subset
             seen.add((len(subset), bool(z[1:].any() and (z[1:] < 0).any())))
         # yes verdicts, and failures at later vertices and larger subsets
         assert "yes" in seen and any(k > 1 for k, _ in seen - {"yes"})
         assert any(later for _, later in seen - {"yes"})
 
     def test_stacked_determinant_calls(self, monkeypatch):
-        # an H box with a positive diagonal at n = 8: 128 sign vertices, all P
+        # an H box with a positive diagonal at n = 8: 128 sign vertices, all
+        # P, decided by pivots without a determinant
         A = make_h_instance(np.random.default_rng(64), 8, mixed_diag_signs=False)
-        calls = []
-        det = np.linalg.det
-
-        def counting(a):
-            calls.append(np.shape(a))
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counting)
+        calls = TestStackedKernelCost._count_dets(monkeypatch)
         rep = classify.is_p_matrix_special(A)
         assert rep.is_yes and rep.certificate["path"] == "sign-vertex enumeration"
-        # per vertex this took 128 x 8 calls
-        assert len(calls) <= 16
-        assert all(np.prod(shape) <= classify._STACK_BUDGET for shape in calls)
+        assert calls == []
+
+    def test_memory_stays_bounded(self):
+        # 512 sign vertices at n = 10, every one P: the stack is sliced so that
+        # a slice's levels hold at most _STACK_BUDGET entries
+        A = make_h_instance(np.random.default_rng(64), 10, mixed_diag_signs=False)
+        tracemalloc.start()
+        try:
+            rep = classify.is_p_matrix_special(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.is_yes and rep.certificate["path"] == "sign-vertex enumeration"
+        assert peak < 1.5 * 2**20
 
     def test_cap_still_gives_unknown(self):
         A = next(A for A in _sign_vertex_boxes() if A.rows == 7)
@@ -638,21 +697,22 @@ class TestStackedKernelCost:
         return calls
 
     def test_early_failure_at_a_2x2_window(self, monkeypatch):
-        # every entry passes, then the first 2x2 window is singular; the
-        # per-window scan took 40,001 determinant calls here
+        # every entry passes, then the first pivot of the second column is 0
         a = np.ones((200, 200))
         calls = self._count_dets(monkeypatch)
         rep = classify.is_totally_positive_real(a)
         assert rep.is_no and rep.certificate["rows"] == (0, 2)
-        assert rep.certificate["cols"] == (0, 2)
-        assert len(calls) <= 32
+        assert rep.certificate["cols"] == (0, 2) and rep.certificate["pivot"] == 0.0
+        assert calls == []
 
     def test_early_failure_at_an_entry(self, monkeypatch):
+        # the first pivots are the first column's entries; row 1's is negative
         A = make_m_instance(np.random.default_rng(62), 200)
         calls = self._count_dets(monkeypatch)
         rep = classify.is_totally_positive_real(A.lo)
-        assert rep.is_no and rep.certificate["rows"] == (0, 1)
-        assert len(calls) <= 2
+        assert rep.is_no and rep.certificate["rows"] == (1, 2)
+        assert rep.certificate["cols"] == (0, 1) and rep.certificate["pivot"] == A.lo[1, 0]
+        assert calls == []
 
     def test_memory_stays_bounded(self):
         a = np.ones((200, 200))
@@ -862,12 +922,12 @@ class TestInverseNonnegativeProbe:
         _assert_same_report(rep, _inverse_nonneg_full(A))
 
 
-# -- total positivity: one comparison passes every 1x1 window ---------------
+# -- total positivity: the pivot threshold ------------------------------------
 
 def _tp_boundary_matrices():
-    """Positive matrices, and matrices with their smallest entry at the
-    tolerance, one ulp either side of it, and either side of the point from
-    which one comparison passes the entries."""
+    """Positive matrices, and matrices with their smallest entry at the old
+    scan's tolerance, one ulp either side of it, and either side of the point
+    from which it passed the entries with one comparison."""
     rng = np.random.default_rng(82)
     for n in range(1, 9):
         for _ in range(3):
@@ -887,15 +947,189 @@ class TestTotallyPositiveEntryPass:
     def test_matches_per_window_reference(self):
         verdicts = set()
         for a in _tp_boundary_matrices():
-            expected = _tp_per_window(a)
-            _assert_same_report(classify.is_totally_positive_real(a), expected)
-            rows = expected.certificate.get("rows")
+            rows = _check_tp(a).certificate.get("rows")
             verdicts.add("yes" if rows is None else rows[1] - rows[0])
         assert {"yes", 1, 2} <= verdicts
 
+    def test_pivot_at_the_threshold_fails(self):
+        # the first column's entries are the first pivots: one at the
+        # threshold fails, one ulp above it passes
+        rng = np.random.default_rng(84)
+        for n in range(1, 9):
+            a = rng.uniform(0.5, 1.5, (n, n))
+            r = int(rng.integers(n))
+            a[r, 0] = 0.0
+            tol = classify._pivot_tol(a)
+            a[r, 0] = tol
+            cert = classify.is_totally_positive_real(a).certificate
+            assert (cert["rows"], cert["cols"], cert["pivot"]) == ((r, r + 1), (0, 1), tol)
+            a[r, 0] = np.nextafter(tol, np.inf)
+            cert = classify.is_totally_positive_real(a).certificate
+            assert (cert.get("rows"), cert.get("cols")) != ((r, r + 1), (0, 1))
+
     def test_positive_n200_takes_no_1x1_determinant(self, monkeypatch):
+        # nor a determinant of any size: the pivots decide
         a = np.random.default_rng(83).uniform(0.5, 1.5, (200, 200))
-        expected = _tp_per_window(a)
         calls = TestStackedKernelCost._count_dets(monkeypatch)
-        _assert_same_report(classify.is_totally_positive_real(a), expected)
-        assert calls and all(shape[-2:] != (1, 1) for shape in calls)
+        rep = classify.is_totally_positive_real(a)
+        monkeypatch.undo()
+        assert rep.is_no and calls == []
+        cert = rep.certificate
+        _assert_pivot_certificate(a, range(*cert["rows"]), range(*cert["cols"]), cert["pivot"],
+                                  classify._pivot_tol(a), clear=True)
+
+
+# -- pivot verdicts on totally positive and rescaled inputs -------------------
+
+def _exact_det(rows):
+    """Determinant of a square list of Fractions, by exact elimination."""
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def _exact_windows_positive(a):
+    """Every contiguous minor of the float matrix ``a``, exactly, is positive."""
+    q = [[Fraction(float(x)) for x in row] for row in a]
+    n = len(q)
+    return all(_exact_det([row[j:j + k] for row in q[i:i + k]]) > 0
+               for k in range(1, n + 1) for i in range(n - k + 1) for j in range(n - k + 1))
+
+
+def _exact_min_pivot(a):
+    """Smallest Neville elimination pivot of ``a`` and of its transpose,
+    exactly, for a float matrix ``a`` whose pivots are all positive."""
+    pivots = []
+    for b in (a, a.T):
+        q = [[Fraction(float(x)) for x in row] for row in b]
+        for j in range(len(q)):
+            pivots += [q[i][j] for i in range(j, len(q))]
+            for i in range(len(q) - 1, j, -1):
+                f = q[i][j] / q[i - 1][j]
+                q[i] = [x - f * y for x, y in zip(q[i], q[i - 1])]
+    return min(pivots)
+
+
+def _gaussian_kernels():
+    """(n, exp(-c (x_i - y_j)^2)) with increasing nodes x, y, 20 at each of
+    n = 5 and 6: totally positive."""
+    rng = np.random.default_rng(3)
+    for n in (5, 6):
+        for _ in range(20):
+            x = np.sort(rng.uniform(0.0, 1.0, n)) + np.arange(n) * rng.uniform(0.4, 0.8)
+            y = np.sort(rng.uniform(0.0, 1.0, n)) + np.arange(n) * rng.uniform(0.4, 0.8)
+            yield n, np.exp(-rng.uniform(0.5, 1.5) * (x[:, None] - y[None, :]) ** 2)
+
+
+class TestPivotRegressions:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_hilbert_is_totally_positive(self, n):
+        # the smallest 4x4 contiguous minor is 9.4e-11, under the threshold
+        h = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+        assert _exact_windows_positive(h)
+        assert classify.is_totally_positive_real(h).is_yes
+
+    def test_gaussian_kernels(self):
+        # every kernel is totally positive, and the verdict is yes exactly
+        # when every exact pivot exceeds the threshold, away from ties; the
+        # one no has an exact pivot of 1.6e-12 max|a|
+        yes = {5: 0, 6: 0}
+        for n, g in _gaussian_kernels():
+            assert _exact_windows_positive(g)
+            tol = classify._pivot_tol(g)
+            smallest = _exact_min_pivot(g)
+            verdict = classify.is_totally_positive_real(g).is_yes
+            yes[n] += verdict
+            if abs(smallest - Fraction(tol)) > Fraction(tol) / 1000:
+                assert verdict == (smallest > tol)
+        assert yes == {5: 20, 6: 19}
+
+    @pytest.mark.parametrize("make, n", [(make_tp_instance, 3), (make_diag_psd_instance, 10)])
+    def test_verdicts_do_not_change_at_1e_minus_8(self, make, n):
+        A = make(np.random.default_rng(90), n)
+        small = IntervalMatrix(A.lo * 1e-8, A.hi * 1e-8)
+        for test in (classify.is_totally_positive_interval, classify.is_p_matrix_special):
+            assert test(small).verdict == test(A).verdict
+
+
+# -- power-of-two scaling: pivots scale exactly, so verdicts cannot move ------
+
+_dyadic = st.integers(-16, 16).map(lambda v: v / 8.0)
+
+
+@st.composite
+def _scaling_boxes(draw):
+    """(box, k): a dyadic, triangular dyadic (a P-matrix) or Gaussian-kernel
+    midpoint whose inverse maps e to a vector with a negative entry (so the
+    P test never takes the H path), a diagonal or dense radius, and a
+    power-of-two exponent."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dyadic", "triangular", "kernel"]))
+    if kind != "kernel":
+        mid = draw(hnp.arrays(np.float64, (n, n), elements=_dyadic))
+        if kind == "triangular":
+            mid = 4.0 * np.triu(mid, 1) + 2.0 * np.eye(n)
+    else:
+        steps = st.floats(0.3, 1.0)
+        x = np.cumsum(draw(hnp.arrays(np.float64, n, elements=steps)))
+        y = np.cumsum(draw(hnp.arrays(np.float64, n, elements=steps)))
+        mid = np.exp(-np.subtract.outer(x, y) ** 2)
+    rad = draw(hnp.arrays(np.float64, (n, n), elements=st.integers(0, 4).map(lambda v: v / 64.0)))
+    if draw(st.booleans()):
+        rad = np.diag(np.diag(rad))
+    try:
+        v = np.linalg.solve(mid, np.ones(n))
+    except np.linalg.LinAlgError:
+        v = None
+    assume(v is not None and np.all(np.isfinite(v)) and v.min() < -1e-6 * np.abs(v).max())
+    return IntervalMatrix.from_midrad(mid, rad), draw(st.integers(-60, 60))
+
+
+def _assert_scaled_certificate(got, ref, s):
+    """``got`` is the certificate ``ref`` for the input scaled by s: the same
+    windows, subsets, sign vectors and reasons, pivots and matrices exactly s
+    times as large."""
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        if key == "pivot":
+            assert got[key] == value * s
+        elif isinstance(value, dict):
+            _assert_scaled_certificate(got[key], value, s)
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(got[key], value if key == "sign_vector" else value * s)
+        else:
+            assert got[key] == value
+
+
+def _assert_scaled_report(got, ref, s):
+    assert (got.matrix_class, got.verdict, got.cost_note) == \
+        (ref.matrix_class, ref.verdict, ref.cost_note)
+    _assert_scaled_certificate(got.certificate, ref.certificate, s)
+
+
+class TestPowerOfTwoScaling:
+    @given(_scaling_boxes())
+    @settings(max_examples=100, deadline=None)
+    def test_pivot_tests_are_equivariant(self, drawn):
+        A, k = drawn
+        s = 2.0 ** k
+        B = IntervalMatrix(A.lo * s, A.hi * s)
+        for a in (A.lo, A.hi, A.mid):
+            _assert_scaled_report(classify.is_totally_positive_real(a * s),
+                                  classify.is_totally_positive_real(a), s)
+        _assert_scaled_report(classify.is_totally_positive_interval(B),
+                              classify.is_totally_positive_interval(A), s)
+        p = classify.is_p_matrix_special(A)
+        assert p.certificate["path"] in ("sign-vertex enumeration",
+                                         "lower-endpoint reduction (diagonal midpoint or radius)")
+        _assert_scaled_report(classify.is_p_matrix_special(B), p, s)
