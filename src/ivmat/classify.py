@@ -19,6 +19,8 @@ from .intervals import (
     DEFAULT_CAP,
     IntervalMatrix,
     SymmetricIntervalMatrix,
+    _is_symmetric,
+    _tol,
     as_symmetric,
     checkerboard_vertices,
     comparison_matrix,
@@ -51,15 +53,6 @@ class ClassReport:
         return self.verdict == NO
 
 
-def _tol(*arrays) -> float:
-    scale = 1.0
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        if a.size:
-            scale = max(scale, float(np.max(np.abs(a))))
-    return STRICT_RTOL * scale
-
-
 def _first(mask: np.ndarray) -> tuple[int, int]:
     """Row-major index of the first True entry; call only after ``mask.any()``."""
     return np.unravel_index(int(mask.argmax()), mask.shape)
@@ -83,7 +76,7 @@ def is_m_matrix_real(a) -> ClassReport:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    tol = _tol(a)
+    tol = _tol(STRICT_RTOL, a)
     positive = a - np.diag(np.diag(a)) > tol
     if positive.any():
         i, j = _first(positive)
@@ -96,7 +89,7 @@ def is_m_matrix_real(a) -> ClassReport:
         v = kernel.solve(a, np.ones(n))
     except SingularMatrix:
         return ClassReport("M", NO, {"reason": "singular Z-matrix"})
-    if np.all(v > _tol(v)):
+    if np.all(v > _tol(STRICT_RTOL, v)):
         return ClassReport("M", YES, {"v": v})
     return ClassReport("M", NO, {
         "reason": "solution of A v = e has a nonpositive component",
@@ -108,7 +101,7 @@ def is_m_matrix_interval(A: IntervalMatrix) -> ClassReport:
     """Interval M-matrix test: lower endpoint is M and upper off-diagonal <= 0."""
     if not A.is_square:
         raise ValueError("M-matrix test requires a square matrix")
-    tol = _tol(A.lo, A.hi)
+    tol = _tol(STRICT_RTOL, A.lo, A.hi)
     positive = A.hi - np.diag(np.diag(A.hi)) > tol
     if positive.any():
         i, j = _first(positive)
@@ -150,9 +143,9 @@ def is_h_matrix_interval(A: IntervalMatrix) -> ClassReport:
 
 def _solves_ones(a: np.ndarray, x: np.ndarray) -> bool:
     """Whether a @ x = e holds to rounding: each component within
-    _RESIDUAL_RTOL of e or of the magnitude of its terms, whichever is larger."""
+    _RESIDUAL_RTOL of the magnitude of its terms."""
     residual = np.abs(a @ x - 1.0)
-    return bool(np.all(residual <= _RESIDUAL_RTOL * np.maximum(1.0, np.abs(a) @ np.abs(x))))
+    return bool(np.all(residual <= _RESIDUAL_RTOL * (np.abs(a) @ np.abs(x))))
 
 
 def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
@@ -162,20 +155,20 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
     is factored once. A decline is first sought from x = A^-1 e (e all ones),
     an O(n^2) solve from the same factors: by Collatz's characterisation a
     monotone A (A^-1 >= 0) has A x >= 0 => x >= 0, so a component
-    x_i < -4 n _tol(x) names a member, the endpoint, whose inverse is not
-    nonnegative. The probe declines only when its certificate re-checks,
-    witness @ x = e to within _RESIDUAL_RTOL. Otherwise the full inverse is
-    computed from the same factors and every entry checked against
-    -_tol(inverse), which decides the verdict exactly as before the probe
-    existed (same ``dgetrf``, same ``dgetrs``).
+    x_i < -4 n STRICT_RTOL max|x| names a member, the endpoint, whose inverse
+    is not nonnegative. The probe declines only when its certificate
+    re-checks, witness @ x = e to within _RESIDUAL_RTOL. Otherwise the full
+    inverse is computed from the same factors and every entry checked against
+    -STRICT_RTOL max|inverse|, which decides the verdict exactly as before the
+    probe existed (same ``dgetrf``, same ``dgetrs``).
 
     The probe never declines what the full check accepts. If every entry of
-    the computed inverse is >= -t, t = STRICT_RTOL max(1, max|inverse|),
-    every row sum is >= -n t. An entry is its row sum minus the other n - 1
-    entries, so max|inverse| <= max|row sums| + n t, whence
-    t < 2 STRICT_RTOL max(1, max|x|) for n STRICT_RTOL < 1/2 and the row
-    sums are > -2 n _tol(x). The factor 4 leaves the same again for the
-    rounding gap between x and the row sums of the computed inverse.
+    the computed inverse is >= -t, t = STRICT_RTOL max|inverse|, every row
+    sum is >= -n t. An entry is its row sum minus the other n - 1 entries,
+    so max|inverse| <= max|row sums| + n t, whence t < 2 STRICT_RTOL max|x|
+    for n STRICT_RTOL < 1/2 and the row sums are > -2 n STRICT_RTOL max|x|.
+    The factor 4 leaves the same again for the rounding gap between x and the
+    row sums of the computed inverse.
     """
     if not A.is_square:
         raise ValueError("inverse nonnegativity test requires a square matrix")
@@ -191,7 +184,7 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
                 "witness": endpoint.copy(),
             })
         x = kernel.lu_solve(factors, np.ones(n))
-        negative = x < -4 * n * _tol(x)
+        negative = x < -4 * n * _tol(STRICT_RTOL, x)
         if negative.any() and _solves_ones(endpoint, x):
             i = int(negative.argmax())
             return ClassReport("InverseNonnegative", NO, {
@@ -202,7 +195,7 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
                 "witness": endpoint.copy(),
             })
         inv = kernel.lu_solve(factors, np.eye(n))
-        negative = inv < -_tol(inv)
+        negative = inv < -_tol(STRICT_RTOL, inv)
         if negative.any():
             i, j = _first(negative)
             return ClassReport("InverseNonnegative", NO, {
@@ -216,11 +209,6 @@ def is_inverse_nonnegative_interval(A: IntervalMatrix) -> ClassReport:
         "inverse_lower_endpoint": inverses["lower"],
         "inverse_upper_endpoint": inverses["upper"],
     })
-
-
-def _pivot_tol(*arrays) -> float:
-    """STRICT_RTOL times the largest input magnitude, with no floor."""
-    return STRICT_RTOL * max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
 def _neville_first_failure(a: np.ndarray, tol: float) -> tuple[tuple, tuple, float] | None:
@@ -256,7 +244,7 @@ def is_totally_positive_real(a) -> ClassReport:
     names the first failing pivot, of A then of A^T, and the windows of the
     contiguous minor it shows nonpositive."""
     a = np.asarray(a, dtype=float)
-    tol = _pivot_tol(a)
+    tol = _tol(STRICT_RTOL, a)
     for b, transposed in ((a, False), (a.T, True)):
         found = _neville_first_failure(b, tol)
         if found is not None:
@@ -301,7 +289,7 @@ def is_b_matrix_interval(A: IntervalMatrix) -> ClassReport:
     if not A.is_square:
         raise ValueError("B-matrix test requires a square matrix")
     n = A.rows
-    tol = _tol(A.lo, A.hi)
+    tol = _tol(STRICT_RTOL, A.lo, A.hi)
     row_lo_sums = A.lo.sum(axis=1)
     # column 0 holds the row-sum test of row i and column 1 + k its dominance
     # test against column k, so the first failure in row-major order is the
@@ -333,11 +321,11 @@ def is_b_matrix_interval(A: IntervalMatrix) -> ClassReport:
 
 
 def is_nonnegative(A: IntervalMatrix) -> bool:
-    return bool(np.all(A.lo >= -_tol(A.lo, A.hi)))
+    return bool(np.all(A.lo >= -_tol(STRICT_RTOL, A.lo, A.hi)))
 
 
 def is_midpoint_nonnegative(A: IntervalMatrix) -> bool:
-    return bool(np.all(A.mid >= -_tol(A.lo, A.hi)))
+    return bool(np.all(A.mid >= -_tol(STRICT_RTOL, A.lo, A.hi)))
 
 
 def is_diagonally_interval(A: IntervalMatrix) -> bool:
@@ -348,19 +336,13 @@ def is_diagonally_interval(A: IntervalMatrix) -> bool:
 
 
 def has_symmetric_midpoint(A: IntervalMatrix) -> bool:
-    if not A.is_square:
-        return False
-    mid = A.mid
-    return bool(np.max(np.abs(mid - mid.T), initial=0.0) <= _tol(mid))
+    return A.is_square and _is_symmetric(A.mid)
 
 
 def is_symmetric_family(A: IntervalMatrix) -> bool:
-    """Midpoint and radius both symmetric, so symmetric members span the box."""
-    if not A.is_square:
-        return False
-    rad = A.rad
-    return has_symmetric_midpoint(A) and bool(
-        np.max(np.abs(rad - rad.T), initial=0.0) <= _tol(rad))
+    """Midpoint and radius both symmetric, so symmetric members span the box:
+    the test ``as_symmetric`` applies."""
+    return has_symmetric_midpoint(A) and _is_symmetric(A.rad)
 
 
 def classify_structure(A: IntervalMatrix) -> set[str]:
@@ -382,19 +364,16 @@ def _real_inverse_m_check(block: np.ndarray, tol: float) -> np.ndarray:
 
     A nonsingular V is an inverse M-matrix iff V^{-1} has nonpositive
     off-diagonal and V e > 0 (then v = V e certifies V^{-1} as an M-matrix).
-    Returns a boolean mask; singular entries come out False.
+    Returns a boolean mask; singular entries (``kernel._nonsingular``) come
+    out False. Each inverse's off-diagonal is compared with STRICT_RTOL times
+    that inverse's own magnitude, the row sums of V with ``tol``.
     """
-    n = block.shape[-1]
-    dets = np.linalg.det(block)
-    ok = np.abs(dets) > 1e-12 * np.maximum(1.0, np.abs(dets).max(initial=1.0))
-    result = np.zeros(len(block), dtype=bool)
-    if not ok.any():
-        return result
+    ok = kernel._nonsingular(block)
     invs = np.linalg.inv(block[ok])
-    offmask = ~np.eye(n, dtype=bool)
-    z_pattern = np.all(invs[:, offmask] <= tol, axis=1)
-    row_sums_pos = np.all(block[ok].sum(axis=2) > tol, axis=1)
-    result[ok] = z_pattern & row_sums_pos
+    offdiag = invs[:, ~np.eye(block.shape[-1], dtype=bool)]
+    result = np.zeros(len(block), dtype=bool)
+    result[ok] = (np.all(offdiag <= STRICT_RTOL * np.abs(invs).max(axis=(1, 2))[:, None], axis=1)
+                  & np.all(block[ok].sum(axis=2) > tol, axis=1))
     return result
 
 
@@ -408,7 +387,7 @@ def is_inverse_m_interval(A: IntervalMatrix,
     """
     if not A.is_square:
         raise ValueError("inverse-M test requires a square matrix")
-    tol = _tol(A.lo, A.hi)
+    tol = _tol(STRICT_RTOL, A.lo, A.hi)
     negative = A.lo < -tol
     if negative.any():
         i, j = _first(negative)
@@ -452,7 +431,7 @@ def conjecture_check_inverse_m(A: IntervalMatrix,
     """
     if not A.is_square:
         raise ValueError("conjecture probe requires a square matrix")
-    tol = _tol(A.lo, A.hi)
+    tol = _tol(STRICT_RTOL, A.lo, A.hi)
     block = np.concatenate(sign_flip_family(A))
     reduced_ok = bool(np.all(_real_inverse_m_check(block, tol)))
     exhaustive = is_inverse_m_interval(A, cap_evals=cap_evals)
@@ -476,31 +455,50 @@ def _first_nonpositive_pivot(stack: np.ndarray, tol: float) -> tuple[int, tuple,
     principal subset with a nonpositive minor, and the pivot; or None.
 
     A is P iff a_00 > 0 and A[1:, 1:] and A / a_00 are P (Tsatsomeros & Li,
-    BIT 40, 2000). Level k holds the Schur complements of A[g] in
-    A[g + {k..n-1}] for the subsets g of {0..k-1} (bit t of the index: t in
-    g), with pivots det A[g + {k}] / det A[g]. A slice of the stack holds at
-    most ``_STACK_BUDGET`` entries over all its levels."""
+    BIT 40, 2000). Node q of level k, g = {t < k : bit t of q}, is the Schur
+    complement of A[g] in A[g + {k..n-1}], with pivot det A[g + {k}] / det A[g],
+    and the parent of nodes q and q + 2^k of level k + 1. The result is the
+    failure of least (matrix, level, node). A part of the trees whose levels
+    hold at most ``_STACK_BUDGET`` entries in all is searched level by level;
+    a larger one is halved, by matrices, then by nodes, depth first."""
     n = stack.shape[-1]
-    step = max(1, _STACK_BUDGET // sum(((n - k) ** 2 << k for k in range(n)), 1))
-    for start in range(0, len(stack), step):
-        level, found = stack[start:start + step, None], None
-        for k in range(n):
+    below = [sum((n - j) ** 2 << (j - k) for j in range(k, n)) for k in range(n)]
+    found = []  # (matrix, level, node, pivot): the first failure of a part
+
+    def search(level, rows, k, nodes):
+        while k < n and not (found and (rows[0], k) > min(found)[:2]):
+            s, w = level.shape[:2]
+            if s * w > 1 and s * w * below[k] > _STACK_BUDGET:
+                if s > 1:
+                    h = (s + 1) // 2
+                    search(level[:h], rows[:h], k, nodes)
+                    search(level[h:], rows[h:], k, nodes)
+                else:
+                    h = (w + 1) // 2
+                    search(level[:, :h], rows, k, nodes[:h])
+                    search(level[:, h:], rows, k, nodes[h:])
+                return
             pivots = level[:, :, 0, 0]
             fails = ~(pivots > tol)  # a NaN pivot from overflow is not positive
             failing = fails.any(axis=1)
             if failing.any():
                 i = int(failing.argmax())
                 q = int(fails[i].argmax())
-                subset = tuple(t for t in range(k) if q >> t & 1) + (k,)
-                found, level = (start + i, subset, float(pivots[i, q])), level[:i]
+                found.append((int(rows[i]), k, int(nodes[q]), float(pivots[i, q])))
+                level, rows = level[:i], rows[:i]
                 if not i:
-                    break
+                    return
             rest = level[:, :, 1:, 1:]
             schur = rest - level[:, :, 1:, :1] * (level[:, :, :1, 1:] / level[:, :, :1, :1])
             level = np.concatenate((rest, schur), axis=1)
-        if found is not None:
-            return found
-    return None
+            nodes = np.concatenate((nodes, nodes + (1 << k)))
+            k += 1
+
+    search(stack[:, None], np.arange(len(stack)), 0, np.zeros(1, dtype=np.int64))
+    if not found:
+        return None
+    i, k, q, pivot = min(found)
+    return i, tuple(t for t in range(k) if q >> t & 1) + (k,), pivot
 
 
 def _sign_vertices(mid: np.ndarray, rad: np.ndarray, cap_evals: int):
@@ -533,13 +531,9 @@ def _p_report(A: IntervalMatrix, cap_evals: int, h: ClassReport | None,
             "witness": witness,
         })
     n = A.rows
-    tol = _pivot_tol(A.lo, A.hi)
+    tol = _tol(STRICT_RTOL, A.lo, A.hi)
     mid, rad = A.mid, A.rad
-
-    def _is_diag(m):
-        return bool(np.max(np.abs(m - np.diag(np.diag(m))), initial=0.0) <= tol)
-
-    diagonal = _is_diag(mid) or _is_diag(rad)
+    diagonal = any(np.all(np.abs(m - np.diag(np.diag(m))) <= tol) for m in (mid, rad))
     if diagonal:
         path, what, cost = ("lower-endpoint reduction (diagonal midpoint or radius)",
                             "lower endpoint", "exponential in n (principal minors)")
@@ -601,7 +595,7 @@ def _pd_report(S: SymmetricIntervalMatrix, h: ClassReport, mid_is_m: bool,
     """PD verdict from the family's H report and its midpoint's M verdict."""
     mid = S.mid
     mid_eigs = kernel.sym_eigenvalues(mid)
-    mid_pd = bool(mid_eigs[-1] > _tol(mid))
+    mid_pd = bool(mid_eigs[-1] > _tol(STRICT_RTOL, mid))
     if h.is_yes and mid_pd:
         return ClassReport("PositiveDefiniteSufficient", YES, {
             "v": h.certificate["v"],
@@ -692,10 +686,7 @@ def classify_all(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> list[ClassR
             "reason": "vertex enumeration exceeds the cap",
         }, cost_note="exponential (capped)"))
     if is_symmetric_family(A):
-        try:
-            reports.append(_pd_report(_symmetric(A), h, mid_is_m, cap_evals))
-        except PreconditionViolated as exc:  # as_symmetric's tolerance is the tighter one
-            reports.append(ClassReport("PositiveDefiniteSufficient", UNKNOWN, {"reason": str(exc)}))
+        reports.append(_pd_report(_symmetric(A), h, mid_is_m, cap_evals))
     structure = classify_structure(A)
     for flag in ("Nonnegative", "MidpointNonnegative", "DiagonallyInterval",
                  "SymmetricMidpoint"):

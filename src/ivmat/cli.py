@@ -200,8 +200,6 @@ def _cmd_range(args) -> int:
             result = ranges.eig_ranges(A)
         except NoApplicableTheorem as exc:
             # symmetric inverse nonnegative families still get lambda_min
-            if not classify.is_symmetric_family(A):
-                raise
             try:
                 result = [ranges.lambda_min_range_inverse_nonneg(A)]
             except PreconditionViolated:

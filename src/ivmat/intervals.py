@@ -31,6 +31,19 @@ SYMMETRY_RTOL = 1e-12  # asymmetry allowed, relative to the matrix scale
 _CHUNK = 1 << 14
 
 
+def _tol(rtol: float, *arrays) -> float:
+    """``rtol`` times the largest magnitude in ``arrays``, with no floor: the
+    one tolerance rule, so a power-of-two scaling scales a tolerance exactly."""
+    return rtol * max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
+def _is_symmetric(a, slack: float = 0.0) -> bool:
+    """The package's one symmetry predicate: a square array whose asymmetry
+    is at most ``slack`` plus SYMMETRY_RTOL times its own magnitude."""
+    a = np.asarray(a, dtype=float)
+    return bool(np.max(np.abs(a - a.T), initial=0.0) <= slack + _tol(SYMMETRY_RTOL, a))
+
+
 def _validate_bounds(lo: np.ndarray, hi: np.ndarray, ndim: int, what: str) -> None:
     if lo.ndim != ndim or hi.ndim != ndim:
         raise ValueError(f"{what} bounds must be {ndim}-dimensional")
@@ -256,10 +269,9 @@ class SymmetricIntervalMatrix:
             raise ValueError("symmetric interval matrix must be square")
         if base.rows == 0:
             raise ValueError("expected a nonempty matrix, got the empty matrix of shape (0, 0)")
-        scale = max(1.0, float(np.max(np.abs(base.mid))), float(np.max(base.rad)))
-        if np.max(np.abs(base.mid - base.mid.T)) > SYMMETRY_RTOL * scale:
+        if not _is_symmetric(base.mid):
             raise ValueError("midpoint is not symmetric")
-        if np.max(np.abs(base.rad - base.rad.T)) > SYMMETRY_RTOL * scale:
+        if not _is_symmetric(base.rad):
             raise ValueError("radius is not symmetric")
         self._base = base
 
@@ -288,10 +300,7 @@ class SymmetricIntervalMatrix:
         return self._base.rows
 
     def contains_point(self, a, tol: float = 0.0) -> bool:
-        a = np.asarray(a, dtype=float)
-        if np.max(np.abs(a - a.T)) > tol + 1e-12 * max(1.0, np.max(np.abs(a))):
-            return False
-        return self._base.contains_point(a, tol)
+        return _is_symmetric(a, tol) and self._base.contains_point(a, tol)
 
     def __repr__(self) -> str:
         return f"SymmetricIntervalMatrix({self._base!r})"
@@ -379,13 +388,8 @@ def checkerboard_box(v1, v2, tol: float = 0.0) -> IntervalVector:
     v2 = np.asarray(v2, dtype=float)
     if not checkerboard_leq(v1, v2, tol):
         raise ValueError("v1 is not <= v2 in the checkerboard order")
-    s = alternating_signs(len(v1))
-    lo = np.where(s > 0, v1, v2)
-    hi = np.where(s > 0, v2, v1)
-    # Guard against tol-sized inversions on near-degenerate components.
-    both_lo = np.minimum(lo, hi)
-    both_hi = np.maximum(lo, hi)
-    return IntervalVector(both_lo, both_hi)
+    # min/max: a tol-sized inversion on a near-degenerate component keeps lo <= hi
+    return IntervalVector(np.minimum(v1, v2), np.maximum(v1, v2))
 
 
 def vertex_block(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> np.ndarray:

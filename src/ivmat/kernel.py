@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleLimit, NonConvergence, NotSymmetric, SingularMatrix
-from .intervals import DEFAULT_CAP, SYMMETRY_RTOL, vertex_chunks
+from .intervals import DEFAULT_CAP, _is_symmetric, _tol, vertex_chunks
 
 PIVOT_RTOL = 1e-12
 _IMAG_RTOL = 1e-8  # imaginary parts up to this, relative, count as rounding
@@ -145,9 +146,26 @@ def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
 
 
 def det(a) -> float:
-    """Determinant via pivoted LU; returns ~0 for singular input."""
+    """Determinant: the signed product of the ``dgetrf`` pivots, carried as a
+    mantissa and a binary exponent, so det(2^k a) = 2^(k n) det(a) bit for
+    bit wherever both are normal floats; inf where it overflows a float."""
     a = _as_square(a)
-    return float(np.linalg.det(a))
+    if not a.size:
+        return 1.0
+    lu, piv = _lapack().dgetrf(a)[:2]
+    mantissas, exponents = np.frexp(np.diag(lu))
+    m, e = (-1.0) ** int(np.count_nonzero(piv != np.arange(len(piv)))), int(exponents.sum())
+    for start in range(0, len(mantissas), 1000):  # 1000 mantissas >= 2^-1000
+        m, k = math.frexp(m * float(np.prod(mantissas[start:start + 1000])))
+        e += k
+    return math.ldexp(m, e) if e <= 1024 or not m else math.copysign(math.inf, m)
+
+
+def _nonsingular(block: np.ndarray) -> np.ndarray:
+    """Mask of the stacked matrices whose |det| exceeds PIVOT_RTOL times the
+    largest in the block, compared as log-determinants, so none overflows."""
+    sign, logdet = np.linalg.slogdet(block)
+    return (sign != 0) & (logdet > np.max(logdet, initial=-np.inf) + np.log(PIVOT_RTOL))
 
 
 def inverse(a) -> np.ndarray:
@@ -165,8 +183,7 @@ def solve(a, b) -> np.ndarray:
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = _as_square(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
+    if not _is_symmetric(a):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return a
 
@@ -190,10 +207,12 @@ def singular_values(a) -> np.ndarray:
 
 
 def eigenvalues_general(a) -> np.ndarray:
-    """All eigenvalues of a general square matrix (complex, unsorted)."""
+    """All eigenvalues of a general square matrix (complex, unsorted), as
+    2^e eig(2^-e a), 2^e <= max|a| < 2^(e+1): exact under 2^k scaling."""
     a = _as_square(a)
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) - 1
     try:
-        return np.linalg.eigvals(a)
+        return np.linalg.eigvals(np.ldexp(a, -e)) * 2.0 ** e
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
@@ -201,12 +220,10 @@ def eigenvalues_general(a) -> np.ndarray:
 def real_eigenvalues_sorted(a) -> np.ndarray:
     """Eigenvalues of a matrix known to have a real spectrum, descending.
 
-    Raises NonConvergence if an imaginary part exceeds ``_IMAG_RTOL`` relative
-    to the matrix scale.
+    Raises NonConvergence if an imaginary part exceeds ``_IMAG_RTOL`` max|a|.
     """
     vals = eigenvalues_general(a)
-    scale = max(1.0, inf_norm(a))
-    if np.max(np.abs(vals.imag)) > _IMAG_RTOL * scale:
+    if np.max(np.abs(vals.imag)) > _tol(_IMAG_RTOL, a):
         raise NonConvergence("matrix does not have a (numerically) real spectrum")
     return np.sort(vals.real)[::-1].copy()
 

@@ -26,6 +26,7 @@ from .intervals import (
     DEFAULT_CAP,
     IntervalMatrix,
     IntervalVector,
+    _tol,
     checkerboard_box,
     checkerboard_leq,
     checkerboard_rhs,
@@ -68,7 +69,7 @@ class HullResult:
 
 
 def _rhs_sign_case(b: IntervalVector) -> str | None:
-    tol = classify._tol(b.lo, b.hi)
+    tol = _tol(classify.STRICT_RTOL, b.lo, b.hi)
     if np.all(b.lo >= -tol):
         return "nonneg"
     if np.all(b.hi <= tol):
@@ -115,9 +116,8 @@ def hull_totally_positive(sys: IntervalLinearSystem) -> HullResult:
     A, b = sys.A, sys.b
     down_a, up_a = checkerboard_vertices(A)
     down_b, up_b = checkerboard_rhs(b)
-    n = sys.n
-    tol = classify._tol(b.lo, b.hi)
-    zero = np.zeros(n)
+    tol = _tol(classify.STRICT_RTOL, b.lo, b.hi)
+    zero = np.zeros(sys.n)
     if checkerboard_leq(zero, down_b, tol):
         case = "checkerboard nonneg"
         v1 = kernel.solve(up_a, down_b)
@@ -133,8 +133,7 @@ def hull_totally_positive(sys: IntervalLinearSystem) -> HullResult:
     else:
         raise NoApplicableCase(
             "rhs matches none of the checkerboard sign cases")
-    hull = checkerboard_box(v1, v2, tol=1e-9 * max(1.0, float(np.max(np.abs(v1))),
-                                                   float(np.max(np.abs(v2)))))
+    hull = checkerboard_box(v1, v2, tol=_tol(1e-9, v1, v2))
     return HullResult(hull, f"totally-positive ({case})", EXACT, {
         "checkerboard_lower": down_a, "checkerboard_upper": up_a,
         "rhs_lower": down_b, "rhs_upper": up_b,
@@ -174,7 +173,7 @@ def hull_hbrnk(sys: IntervalLinearSystem) -> HullResult:
     mid = A.mid
     offdiag_mid = mid - np.diag(np.diag(mid))
     diagonal_midpoint = bool(np.max(np.abs(offdiag_mid), initial=0.0)
-                             <= classify._tol(mid))
+                             <= _tol(classify.STRICT_RTOL, mid))
     return HullResult(IntervalVector(x_lo, x_hi), "hbrnk",
                       EXACT if diagonal_midpoint else ENCLOSURE, {
                           "alpha": alpha, "beta": beta,
@@ -241,8 +240,7 @@ def interval_lu(A: IntervalMatrix) -> tuple[IntervalMatrix, IntervalMatrix]:
     L = IntervalMatrix(l_lo, l_hi)
     U = IntervalMatrix(u_lo, u_hi)
     product = imatmul(L, U)
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(A.lo))), float(np.max(np.abs(A.hi))))
-    if not product.contains_matrix(A, tol=slack):
+    if not product.contains_matrix(A, tol=_tol(1e-9, A.lo, A.hi)):
         raise IvmatError("LU product does not enclose the input matrix")
     return L, U
 

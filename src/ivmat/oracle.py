@@ -20,6 +20,7 @@ from .intervals import (
     IntervalMatrix,
     IntervalVector,
     SymmetricIntervalMatrix,
+    _tol,
     vertex_block,
     vertex_chunks,
 )
@@ -83,7 +84,7 @@ def det_range(A: IntervalMatrix, cfg: OracleConfig = DEFAULT_CONFIG) -> Interval
 
 def _regularity_check(A: IntervalMatrix, cfg: OracleConfig) -> None:
     rng = det_range(A, cfg)
-    tol = 1e-12 * max(1.0, abs(rng.lo), abs(rng.hi))
+    tol = _tol(1e-12, [rng.lo, rng.hi])
     if rng.lo <= tol and rng.hi >= -tol:
         raise SingularInside(
             f"vertex determinant range [{rng.lo:.3e}, {rng.hi:.3e}] contains zero")
@@ -239,8 +240,7 @@ def find_singular_member(A: IntervalMatrix | SymmetricIntervalMatrix,
         mask = np.array([index], dtype=np.uint64)
         return vertices(vertex_block(box_lo, box_hi, mask))[0]
 
-    scale = max(1.0, float(np.max(np.abs(dets))))
-    tol = 1e-12 * scale
+    tol = _tol(1e-12, dets)
     near = np.flatnonzero(np.abs(dets) <= tol)
     if len(near):
         return vertex(int(near[0]))

@@ -26,7 +26,7 @@ from .errors import (
     SingularVertex,
     UnboundedSolutionSet,
 )
-from .intervals import DEFAULT_CAP, IntervalVector, vertex_chunks
+from .intervals import DEFAULT_CAP, IntervalVector, _is_symmetric, _tol, vertex_chunks
 from .linsolve import EXACT, HullResult
 
 @dataclass
@@ -75,8 +75,7 @@ def eval_parametric(P: ParametricSystem, p) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     if p.shape != (P.num_params,):
         raise ValueError("parameter vector has the wrong length")
-    tol = STRICT_RTOL * max(1.0, float(np.max(np.abs(p))))
-    if not P.box.contains_point(p, tol=tol):
+    if not P.box.contains_point(p, tol=_tol(STRICT_RTOL, p)):
         raise OutOfBox("parameter vector lies outside its box")
     A = sum(pk * Ak for pk, Ak in zip(p, P.coeff_matrices))
     b = sum(pk * bk for pk, bk in zip(p, P.rhs_vectors))
@@ -90,8 +89,7 @@ def is_pd_parametric(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> Class
     it is at every parameter vertex.
     """
     for idx, Ak in enumerate(P.coeff_matrices):
-        scale = max(1.0, float(np.max(np.abs(Ak))))
-        if np.max(np.abs(Ak - Ak.T)) > 1e-12 * scale:
+        if not _is_symmetric(Ak):
             raise PreconditionViolated(
                 f"coefficient matrix {idx} is not symmetric, so A(p) is not "
                 "symmetric for all p")
@@ -102,8 +100,7 @@ def is_pd_parametric(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> Class
         lam = float(kernel.sym_eigenvalues(A)[-1])
         if worst is None or lam < worst[0]:
             worst = (lam, p.copy())
-        scale = max(1.0, float(np.max(np.abs(A))))
-        if lam <= STRICT_RTOL * scale:
+        if lam <= _tol(STRICT_RTOL, A):
             return ClassReport("PositiveDefiniteParametric", NO, {
                 "witness_vertex": p.copy(),
                 "lambda_min": lam,
@@ -126,7 +123,7 @@ def hull_rank_one(P: ParametricSystem, cap_evals: int = DEFAULT_CAP) -> HullResu
         bk = P.rhs_vectors[int(idx)]
         if np.any(Ak != 0.0):
             svals = kernel.singular_values(Ak)
-            if len(svals) > 1 and svals[1] > 1e-10 * svals[0]:
+            if len(svals) > 1 and svals[1] > _tol(1e-10, svals):
                 raise RankTooHigh(
                     f"coefficient matrix of parameter {idx} has rank above one")
             if np.any(bk != 0.0):

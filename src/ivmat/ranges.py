@@ -26,6 +26,7 @@ from .intervals import (
     Interval,
     IntervalMatrix,
     SymmetricIntervalMatrix,
+    _tol,
     checkerboard_vertices,
     sign_flip_family,
     vertex_chunks,
@@ -62,9 +63,9 @@ def _sign_stable_pattern(A: IntervalMatrix, cap_evals: int):
     """Constant sign pattern of member inverses, or None.
 
     Certifies over all vertex matrices when the enumeration fits the cap;
-    otherwise falls back to the midpoint inverse alone and says so.
+    otherwise falls back to the midpoint inverse alone and says so. An
+    inverse entry of at most STRICT_RTOL times the largest has no sign.
     """
-    tiny = 1e-10
     try:
         chunks = vertex_chunks(A.lo, A.hi, cap_evals)
     except CapExceeded:
@@ -72,18 +73,15 @@ def _sign_stable_pattern(A: IntervalMatrix, cap_evals: int):
             inv_mid = kernel.inverse(A.mid)
         except SingularMatrix:
             return None, None
-        scale = max(1.0, float(np.max(np.abs(inv_mid))))
-        if np.any(np.abs(inv_mid) <= tiny * scale):
+        if np.any(np.abs(inv_mid) <= _tol(classify.STRICT_RTOL, inv_mid)):
             return None, None
         return np.sign(inv_mid), "midpoint-certified"
     pattern = None
     for block in chunks:
-        dets = np.linalg.det(block)
-        if np.any(np.abs(dets) <= 1e-12 * max(1.0, float(np.max(np.abs(dets))))):
+        if not kernel._nonsingular(block).all():
             return None, None
         invs = np.linalg.inv(block)
-        scale = max(1.0, float(np.max(np.abs(invs))))
-        if np.any(np.abs(invs) <= tiny * scale):
+        if np.any(np.abs(invs) <= _tol(classify.STRICT_RTOL, invs)):
             return None, None
         signs = np.sign(invs)
         if pattern is None:
@@ -136,7 +134,7 @@ def det_range(A: IntervalMatrix, cap_evals: int = DEFAULT_CAP) -> RangeResult:
     if (classify.is_diagonally_interval(A)
             and classify.has_symmetric_midpoint(A)):
         lo_eigs = kernel.sym_eigenvalues(A.lo)
-        if lo_eigs[-1] >= -classify._tol(A.lo):
+        if lo_eigs[-1] >= -_tol(classify.STRICT_RTOL, A.lo):
             value, att = _ordered_range([(kernel.det(A.lo), A.lo.copy()),
                                          (kernel.det(A.hi), A.hi.copy())])
             return RangeResult(value, "diagonally-interval-psd-endpoints", att)
@@ -244,10 +242,8 @@ def eig_ranges_totally_positive(A: IntervalMatrix) -> list[RangeResult]:
         for i in range(1, n - 1):
             x = right_vecs[:, right_order[i]].real
             y = left_vecs[:, left_order[i]].real
-            scale_x = float(np.max(np.abs(x)))
-            scale_y = float(np.max(np.abs(y)))
-            if (np.min(np.abs(x)) < _EIGVEC_ENTRY_RTOL * scale_x
-                    or np.min(np.abs(y)) < _EIGVEC_ENTRY_RTOL * scale_y):
+            if (np.min(np.abs(x)) < _tol(_EIGVEC_ENTRY_RTOL, x)
+                    or np.min(np.abs(y)) < _tol(_EIGVEC_ENTRY_RTOL, y)):
                 raise EigenvectorSignAmbiguity(
                     f"midpoint eigenvector for index {i + 1} has an entry "
                     "too close to zero to sign")
@@ -270,8 +266,6 @@ def eig_ranges_totally_positive(A: IntervalMatrix) -> list[RangeResult]:
 def eig_ranges(A) -> list[RangeResult]:
     """Eigenvalue ranges via whichever theorem applies."""
     base = A.base if isinstance(A, SymmetricIntervalMatrix) else A
-    # a guard, not a fall-through: eig_ranges_diag_interval tests symmetry with
-    # another tolerance, and its refusal is the answer for a box passing this one
     if classify.is_diagonally_interval(base) and classify.is_symmetric_family(base):
         return eig_ranges_diag_interval(base)
     try:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,6 +29,12 @@ from ivmat.intervals import (
     sign_similarity,
     vertex_chunks,
 )
+
+
+def _strict_tol(*arrays):
+    """The recognition tests' tolerance: STRICT_RTOL times the largest magnitude."""
+    return classify._tol(classify.STRICT_RTOL, *arrays)
+
 
 # the running 2x2 counterexample: regular, midpoint H, but itself not H
 H_COUNTEREXAMPLE = IntervalMatrix([[0.0, 1.0], [-1.0, 10.0]],
@@ -422,14 +428,14 @@ def _check_tp(a):
         (r0, r1), (c0, c1) = rep.certificate["rows"], rep.certificate["cols"]
         assert r1 - r0 == c1 - c0 and 0 in (r0, c0)  # an initial minor
         _assert_pivot_certificate(a, range(r0, r1), range(c0, c1), rep.certificate["pivot"],
-                                  classify._pivot_tol(a), clear)
+                                  _strict_tol(a), clear)
     return rep
 
 
 def _check_p(a):
     """The Schur-complement P test of ``a``, checked against the subset reference."""
     a = np.asarray(a, dtype=float)
-    tol = classify._pivot_tol(a)
+    tol = _strict_tol(a)
     found = classify._first_nonpositive_pivot(a[None], tol)
     clear, positive = _p_per_subset(a)
     if clear:
@@ -443,7 +449,7 @@ def _check_p(a):
 
 def _b_per_row(A):
     n = A.rows
-    tol = classify._tol(A.lo, A.hi)
+    tol = _strict_tol(A.lo, A.hi)
     row_lo_sums = A.lo.sum(axis=1)
     for i in range(n):
         if row_lo_sums[i] <= tol:
@@ -640,7 +646,7 @@ class TestStackedSignVertexP:
                 cert = rep.certificate
                 subset = cert["principal_subset"]
                 _assert_pivot_certificate(cert["witness"], subset, subset, cert["pivot"],
-                                          classify._pivot_tol(A.lo, A.hi), clear)
+                                          _strict_tol(A.lo, A.hi), clear)
             if not clear:
                 continue
             if z is None:
@@ -681,6 +687,34 @@ class TestStackedSignVertexP:
         A = next(A for A in _sign_vertex_boxes() if A.rows == 7)
         rep = classify.is_p_matrix_special(A, cap_evals=(1 << 6) * ((1 << 7) - 1) - 1)
         assert rep.verdict == "unknown"
+
+    def test_one_matrix_memory_stays_bounded(self):
+        # one SPD matrix at n = 20: the levels of its tree of 2^20 - 1 pivots
+        # hold 96 times _STACK_BUDGET entries, so the tree is searched depth first
+        x = np.random.default_rng(65).standard_normal((20, 20))
+        A = IntervalMatrix.point(x @ x.T + 20.0 * np.eye(20))
+        tracemalloc.start()
+        try:
+            rep = classify.is_p_matrix_special(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.is_yes and rep.certificate["path"].startswith("lower-endpoint reduction")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("budget", [7, 60, 1 << 10])
+    def test_splitting_changes_no_certificate(self, monkeypatch, budget):
+        # the failure of least (matrix, level, node), whatever the budget
+        rng = np.random.default_rng(66)
+        stacks = []
+        for _ in range(150):
+            n = int(rng.integers(1, 7))
+            base = 0.3 * rng.standard_normal((n, n)) + rng.uniform(0.5, 3.0) * np.eye(n)
+            stacks.append(base + rng.uniform(0.0, 0.6) * rng.standard_normal((12, n, n)))
+        ref = [classify._first_nonpositive_pivot(stack, 1e-10) for stack in stacks]
+        monkeypatch.setattr(classify, "_STACK_BUDGET", budget)
+        assert [classify._first_nonpositive_pivot(stack, 1e-10) for stack in stacks] == ref
+        assert any(found is not None and len(found[1]) > 2 for found in ref)
 
 
 class TestStackedKernelCost:
@@ -741,7 +775,7 @@ class TestFirstFailureMatchesArgwhere:
         a = make_m_instance(np.random.default_rng(71), 200).lo.copy()
         a[150, 3] = a[7, 190] = a[7, 120] = 0.5
         off = a - np.diag(np.diag(a))
-        i, j = np.argwhere(off > classify._tol(a))[0]
+        i, j = np.argwhere(off > _strict_tol(a))[0]
         rep = classify.is_m_matrix_real(a)
         assert rep.is_no and rep.certificate["entry"] == (i, j) == (7, 120)
         assert rep.certificate["value"] == a[i, j]
@@ -752,7 +786,7 @@ class TestFirstFailureMatchesArgwhere:
         hi[199, 0] = hi[33, 34] = 0.25
         A = IntervalMatrix(A.lo, hi)
         off = hi - np.diag(np.diag(hi))
-        i, j = np.argwhere(off > classify._tol(A.lo, A.hi))[0]
+        i, j = np.argwhere(off > _strict_tol(A.lo, A.hi))[0]
         rep = classify.is_m_matrix_interval(A)
         assert rep.is_no and rep.certificate["entry"] == (i, j) == (33, 34)
         assert rep.certificate["witness"][i, j] == hi[i, j]
@@ -763,7 +797,7 @@ class TestFirstFailureMatchesArgwhere:
         hi[60, 61] = 5.0
         A = IntervalMatrix(A.lo, hi)
         inv = kernel.inverse(hi)
-        i, j = np.argwhere(inv < -classify._tol(inv))[0]
+        i, j = np.argwhere(inv < -_strict_tol(inv))[0]
         rep = classify.is_inverse_nonnegative_interval(A)
         assert rep.is_no and rep.certificate["reason"].startswith("upper")
         assert rep.certificate["entry"] == (i, j)
@@ -773,7 +807,7 @@ class TestFirstFailureMatchesArgwhere:
         lo = np.random.default_rng(74).uniform(0.1, 1.0, (200, 200))
         lo[130, 2] = lo[90, 17] = lo[90, 150] = -1.0
         A = IntervalMatrix(lo, lo + 0.5)
-        i, j = np.argwhere(lo < -classify._tol(A.lo, A.hi))[0]
+        i, j = np.argwhere(lo < -_strict_tol(A.lo, A.hi))[0]
         rep = classify.is_inverse_m_interval(A)
         assert rep.is_no and rep.certificate["entry"] == (i, j) == (90, 17)
         assert rep.certificate["witness"][i, j] == lo[i, j]
@@ -793,7 +827,7 @@ def _inverse_nonneg_full(A):
                 "reason": f"{name} endpoint is singular",
                 "witness": endpoint.copy(),
             })
-        negative = inv < -classify._tol(inv)
+        negative = inv < -_strict_tol(inv)
         if negative.any():
             i, j = np.argwhere(negative)[0]
             return classify.ClassReport("InverseNonnegative", "no", {
@@ -933,7 +967,7 @@ def _tp_boundary_matrices():
         for _ in range(3):
             a = rng.uniform(0.5, 1.5, (n, n))
             yield a
-            tol = classify._tol(a)
+            tol = _strict_tol(a)
             skip_from = tol * (1 + 1e-12)
             for value in (tol, np.nextafter(tol, np.inf), np.nextafter(tol, 0.0),
                           skip_from, np.nextafter(skip_from, np.inf)):
@@ -959,7 +993,7 @@ class TestTotallyPositiveEntryPass:
             a = rng.uniform(0.5, 1.5, (n, n))
             r = int(rng.integers(n))
             a[r, 0] = 0.0
-            tol = classify._pivot_tol(a)
+            tol = _strict_tol(a)
             a[r, 0] = tol
             cert = classify.is_totally_positive_real(a).certificate
             assert (cert["rows"], cert["cols"], cert["pivot"]) == ((r, r + 1), (0, 1), tol)
@@ -976,7 +1010,7 @@ class TestTotallyPositiveEntryPass:
         assert rep.is_no and calls == []
         cert = rep.certificate
         _assert_pivot_certificate(a, range(*cert["rows"]), range(*cert["cols"]), cert["pivot"],
-                                  classify._pivot_tol(a), clear=True)
+                                  _strict_tol(a), clear=True)
 
 
 # -- pivot verdicts on totally positive and rescaled inputs -------------------
@@ -1046,7 +1080,7 @@ class TestPivotRegressions:
         yes = {5: 0, 6: 0}
         for n, g in _gaussian_kernels():
             assert _exact_windows_positive(g)
-            tol = classify._pivot_tol(g)
+            tol = _strict_tol(g)
             smallest = _exact_min_pivot(g)
             verdict = classify.is_totally_positive_real(g).is_yes
             yes[n] += verdict
@@ -1070,9 +1104,8 @@ _dyadic = st.integers(-16, 16).map(lambda v: v / 8.0)
 @st.composite
 def _scaling_boxes(draw):
     """(box, k): a dyadic, triangular dyadic (a P-matrix) or Gaussian-kernel
-    midpoint whose inverse maps e to a vector with a negative entry (so the
-    P test never takes the H path), a diagonal or dense radius, and a
-    power-of-two exponent."""
+    midpoint, a diagonal or dense radius, and a power-of-two exponent. An
+    M-matrix midpoint sends the P test down its H path."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["dyadic", "triangular", "kernel"]))
     if kind != "kernel":
@@ -1087,18 +1120,13 @@ def _scaling_boxes(draw):
     rad = draw(hnp.arrays(np.float64, (n, n), elements=st.integers(0, 4).map(lambda v: v / 64.0)))
     if draw(st.booleans()):
         rad = np.diag(np.diag(rad))
-    try:
-        v = np.linalg.solve(mid, np.ones(n))
-    except np.linalg.LinAlgError:
-        v = None
-    assume(v is not None and np.all(np.isfinite(v)) and v.min() < -1e-6 * np.abs(v).max())
     return IntervalMatrix.from_midrad(mid, rad), draw(st.integers(-60, 60))
 
 
 def _assert_scaled_certificate(got, ref, s):
     """``got`` is the certificate ``ref`` for the input scaled by s: the same
-    windows, subsets, sign vectors and reasons, pivots and matrices exactly s
-    times as large."""
+    windows, subsets, sign vectors, paths and reasons, pivots and matrices
+    exactly s times as large, and the H test's v = A^-1 e exactly 1/s times."""
     assert got.keys() == ref.keys()
     for key, value in ref.items():
         if key == "pivot":
@@ -1106,7 +1134,8 @@ def _assert_scaled_certificate(got, ref, s):
         elif isinstance(value, dict):
             _assert_scaled_certificate(got[key], value, s)
         elif isinstance(value, np.ndarray):
-            assert np.array_equal(got[key], value if key == "sign_vector" else value * s)
+            factor = {"sign_vector": 1.0, "v": 1.0 / s}.get(key, s)
+            assert np.array_equal(got[key], value * factor)
         else:
             assert got[key] == value
 
@@ -1129,7 +1158,5 @@ class TestPowerOfTwoScaling:
                                   classify.is_totally_positive_real(a), s)
         _assert_scaled_report(classify.is_totally_positive_interval(B),
                               classify.is_totally_positive_interval(A), s)
-        p = classify.is_p_matrix_special(A)
-        assert p.certificate["path"] in ("sign-vertex enumeration",
-                                         "lower-endpoint reduction (diagonal midpoint or radius)")
-        _assert_scaled_report(classify.is_p_matrix_special(B), p, s)
+        _assert_scaled_report(classify.is_p_matrix_special(B),
+                              classify.is_p_matrix_special(A), s)

@@ -438,9 +438,9 @@ def test_scipy_imported_only_when_a_solver_runs(tmp_path):
     assert stages["lp_solve"]["scipy.optimize"]
 
 
-def test_classify_near_symmetric_box_reports_pd_unknown(tmp_path, capsys):
-    # midpoint asymmetric by 5e-11: a symmetric family for is_symmetric_family,
-    # refused by as_symmetric; the PD report carries the refusal
+def test_classify_near_symmetric_box_reports_no_pd(tmp_path, capsys):
+    # midpoint asymmetric by 5e-11: refused by the one symmetry predicate, so
+    # the box is no symmetric family and gets no PD report
     path = _write(tmp_path, "near-sym.json", {
         "format_version": 1, "kind": "matrix",
         "entries": [[[1.9, 2.1], [-1.1, -0.9]],
@@ -448,6 +448,6 @@ def test_classify_near_symmetric_box_reports_pd_unknown(tmp_path, capsys):
     })
     assert main(["classify", path, "--format", "json"]) == 0
     reports = {r["class"]: r for r in json.loads(capsys.readouterr().out)["result"]}
-    assert reports["PositiveDefiniteSufficient"]["verdict"] == "unknown"
-    assert reports["PositiveDefiniteSufficient"]["certificate"] == {
-        "reason": "midpoint is not symmetric"}
+    assert "PositiveDefiniteSufficient" not in reports
+    assert reports["SymmetricMidpoint"]["verdict"] == "no"
+    assert reports["M"]["verdict"] == reports["H"]["verdict"] == "yes"

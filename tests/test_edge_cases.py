@@ -8,8 +8,8 @@ import pytest
 import conftest
 from conftest import make_rhs, make_sign_stable_instance, make_tp_instance
 from ivmat import classify, kernel, linsolve, oracle, parametric, ranges
-from ivmat.errors import CapExceeded, IvmatError, PreconditionViolated
-from ivmat.intervals import IntervalMatrix, IntervalVector, vertex_chunks
+from ivmat.errors import CapExceeded, IvmatError, NoApplicableTheorem, PreconditionViolated
+from ivmat.intervals import IntervalMatrix, IntervalVector, as_symmetric, vertex_chunks
 from ivmat.linsolve import IntervalLinearSystem
 from ivmat.parametric import ParametricSystem
 
@@ -317,26 +317,33 @@ def test_each_recognition_runs_at_most_once_per_call(call, monkeypatch):
         assert reached_search
 
 
-def test_near_symmetric_diagonal_box_keeps_the_symmetry_refusal():
-    # is_symmetric_family accepts the 5e-11 asymmetry, as_symmetric does not;
-    # eig_ranges must report the latter's refusal, not try total positivity
-    A = IntervalMatrix.from_midrad(np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]]),
-                                   np.diag([0.1, 0.1]))
-    assert classify.is_diagonally_interval(A) and classify.is_symmetric_family(A)
-    with pytest.raises(PreconditionViolated, match="midpoint is not symmetric"):
+_NEAR_SYMMETRIC_MID = np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]])
+
+
+def _refused_as_symmetric(A):
+    # one symmetry predicate: a 5e-11 asymmetry is 2.5e-11 of the midpoint's
+    # magnitude, above SYMMETRY_RTOL, for the family test and as_symmetric alike
+    assert not classify.is_symmetric_family(A)
+    assert not classify.has_symmetric_midpoint(A)
+    with pytest.raises(ValueError, match="midpoint is not symmetric"):
+        as_symmetric(A)
+
+
+def test_near_symmetric_diagonal_box_is_refused_by_both_symmetry_tests():
+    A = IntervalMatrix.from_midrad(_NEAR_SYMMETRIC_MID, np.diag([0.1, 0.1]))
+    assert classify.is_diagonally_interval(A)
+    _refused_as_symmetric(A)
+    # not a symmetric family and not totally positive: no theorem applies
+    with pytest.raises(NoApplicableTheorem, match="diagonally interval symmetric family"):
         ranges.eig_ranges(A)
 
 
-def test_near_symmetric_box_gets_an_unknown_pd_report():
-    # is_symmetric_family accepts the 5e-11 asymmetry, as_symmetric does not;
-    # classify_all reports the refusal instead of raising it
-    A = IntervalMatrix.from_midrad(np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]]),
-                                   np.full((2, 2), 0.1))
-    assert classify.is_symmetric_family(A)
+def test_near_symmetric_box_gets_no_pd_report():
+    A = IntervalMatrix.from_midrad(_NEAR_SYMMETRIC_MID, np.full((2, 2), 0.1))
+    _refused_as_symmetric(A)
     reports = {r.matrix_class: r for r in classify.classify_all(A)}
-    pd = reports["PositiveDefiniteSufficient"]
-    assert pd.verdict == "unknown"
-    assert pd.certificate == {"reason": "midpoint is not symmetric"}
+    assert "PositiveDefiniteSufficient" not in reports
+    assert reports["SymmetricMidpoint"].is_no
     assert reports["M"].is_yes and reports["H"].is_yes
 
 
